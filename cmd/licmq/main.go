@@ -201,15 +201,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 	opts.Workers = *workers
 	opts.Metrics = metrics
 	opts.Check = *vet
-	if *verbose {
-		opts.Progress = func(pi solver.ProgressInfo) {
-			fmt.Fprintf(stderr, "progress: %d nodes, %d LP solves, %d propagations, %d incumbents\n",
-				pi.Nodes, pi.LPSolves, pi.Propagations, pi.Incumbents)
-		}
-	}
+	// -timelimit and -deadline share one context, so the earlier of
+	// the two ends the solve.
+	ctx := context.Background()
 	if *timeLimit > 0 {
-		limit := time.Now().Add(*timeLimit)
-		opts.Cancel = func() bool { return time.Now().After(limit) }
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, *timeLimit)
+		defer cancel()
 	}
 	var rec *solver.ExplainRecorder
 	if *explainFlag || *explainJSON != "" {
@@ -224,12 +222,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	exitCode := 0
 	if *deadline > 0 || *strict {
-		exitCode = runSupervised(stdout, enc, rel, q, opts, tr, logger,
+		exitCode = runSupervised(ctx, stdout, enc, rel, q, opts, tr, logger,
 			*scheme, *k, *deadline, *strict, *fallback,
 			seedflag.Derive(*seed, seedflag.FallbackStream))
 	} else {
 		start = time.Now()
-		res, err := core.CountBounds(enc.DB, rel, opts)
+		res, err := core.BoundsContext(ctx, enc.DB, core.CountStar(rel), opts)
 		if err != nil {
 			var ce *solver.CheckError
 			if errors.As(err, &ce) {
@@ -387,10 +385,9 @@ func printExplain(w io.Writer, rep *explain.Report) {
 // runSupervised answers the query through the anytime supervisor and
 // prints the quality-tagged result. Returns the process exit code: 0,
 // or 3 when strict is set and the result degraded below exact.
-func runSupervised(stdout io.Writer, enc *encode.Encoded, rel *core.Relation, q queries.Query,
+func runSupervised(ctx context.Context, stdout io.Writer, enc *encode.Encoded, rel *core.Relation, q queries.Query,
 	opts solver.Options, tr *obs.Tracer, logger *slog.Logger, scheme string, k int,
 	deadline time.Duration, strict bool, fallbackSamples int, fallbackSeed int64) int {
-	ctx := context.Background()
 	if deadline > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, deadline)

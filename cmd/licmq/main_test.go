@@ -156,6 +156,41 @@ func TestUnsupervisedStillWorks(t *testing.T) {
 	}
 }
 
+// TestTimeLimitBestEffort: -timelimit cancels the unsupervised solve,
+// which still exits 0 with best-effort bounds and says so.
+func TestTimeLimitBestEffort(t *testing.T) {
+	in := genInput(t)
+	code, out, errBuf := runQ(t, "-in", in, "-scheme", "k", "-k", "2", "-query", "q1", "-timelimit", "1ns")
+	if code != 0 {
+		t.Fatalf("exit = %d, want 0; stderr:\n%s\nstdout:\n%s", code, errBuf, out)
+	}
+	if !strings.Contains(out, "solve canceled after ") || !strings.Contains(out, "(time limit 1ns); bounds are best-effort") {
+		t.Fatalf("no cancellation notice in:\n%s", out)
+	}
+}
+
+// TestTimeLimitAndDeadlineEarlierWins: -timelimit and -deadline share
+// one context, so whichever is earlier ends the supervised solve.
+func TestTimeLimitAndDeadlineEarlierWins(t *testing.T) {
+	in := genInput(t)
+	base := []string{"-in", in, "-scheme", "k", "-k", "2", "-query", "q1"}
+	for _, tc := range []struct {
+		limit, deadline, quality string
+	}{
+		{"1ns", "2m", "quality=sampled"},
+		{"2m", "1ns", "quality=sampled"},
+		{"2m", "2m", "quality=exact"},
+	} {
+		code, out, errBuf := runQ(t, append(base, "-timelimit", tc.limit, "-deadline", tc.deadline)...)
+		if code != 0 {
+			t.Fatalf("-timelimit %s -deadline %s: exit = %d, want 0; stderr:\n%s", tc.limit, tc.deadline, code, errBuf)
+		}
+		if !strings.Contains(out, tc.quality) {
+			t.Errorf("-timelimit %s -deadline %s: want %s in:\n%s", tc.limit, tc.deadline, tc.quality, out)
+		}
+	}
+}
+
 // TestBadFlagsExitTwo: unusable input is exit 2, distinct from solver
 // errors (1) and strict degradation (3).
 func TestBadFlagsExitTwo(t *testing.T) {

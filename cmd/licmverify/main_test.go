@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"os"
 	"path/filepath"
@@ -40,7 +41,7 @@ func liveCerts(t *testing.T, cripple bool) []byte {
 		opts.MaxNodes = 20
 	}
 	opts.Certify = crec
-	if _, _, err := solver.Bounds(p, opts); err != nil && !cripple {
+	if _, _, err := solver.Bounds(context.Background(), p, opts); err != nil && !cripple {
 		t.Fatal(err)
 	}
 	certs, err := cert.Build("q1", "row", 2, crec)

@@ -15,6 +15,7 @@
 package bench
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"log/slog"
@@ -321,18 +322,14 @@ func (cfg Config) RunCell(scheme Scheme, q queries.Query, k int) (Cell, error) {
 		crec = &solver.CertRecorder{}
 		opts.Certify = crec
 	}
+	ctx := context.Background()
 	if cfg.SolveDeadline > 0 {
-		limit := time.Now().Add(cfg.SolveDeadline)
-		prev := opts.Cancel
-		opts.Cancel = func() bool {
-			if prev != nil && prev() {
-				return true
-			}
-			return time.Now().After(limit)
-		}
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, cfg.SolveDeadline)
+		defer cancel()
 	}
 	start = time.Now()
-	res, err := core.CountBounds(enc.DB, rel, opts)
+	res, err := core.BoundsContext(ctx, enc.DB, core.CountStar(rel), opts)
 	switch {
 	case errors.Is(err, solver.ErrCanceled):
 		// Deadline struck before any feasible point: record a failed

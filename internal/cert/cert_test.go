@@ -2,6 +2,7 @@ package cert_test
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"strings"
 	"testing"
@@ -41,7 +42,7 @@ func solveCertified(t *testing.T, p *solver.Problem) ([]*cert.Certificate, solve
 	crec := &solver.CertRecorder{}
 	opts := solver.DefaultOptions()
 	opts.Certify = crec
-	minRes, maxRes, err := solver.Bounds(p, opts)
+	minRes, maxRes, err := solver.Bounds(context.Background(), p, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +163,7 @@ func TestVerifyInfeasible(t *testing.T) {
 	crec := &solver.CertRecorder{}
 	opts := solver.DefaultOptions()
 	opts.Certify = crec
-	if _, err := solver.Maximize(p, opts); !errors.Is(err, solver.ErrInfeasible) {
+	if _, err := solver.Maximize(context.Background(), p, opts); !errors.Is(err, solver.ErrInfeasible) {
 		t.Fatalf("err = %v, want infeasible", err)
 	}
 	certs, err := cert.Build("", "", 0, crec)
@@ -191,7 +192,7 @@ func TestVerifySkipped(t *testing.T) {
 	opts.UseLP = false
 	opts.MaxNodes = 20
 	opts.Certify = crec
-	res, err := solver.Maximize(p, opts)
+	res, err := solver.Maximize(context.Background(), p, opts)
 	if err != nil {
 		t.Skipf("budget starved before a feasible point: %v", err)
 	}

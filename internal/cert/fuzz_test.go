@@ -9,6 +9,7 @@ package cert_test
 
 import (
 	"bytes"
+	"context"
 	"testing"
 
 	"licm/internal/cert"
@@ -85,7 +86,7 @@ func FuzzCertRoundTrip(f *testing.F) {
 		crec := &solver.CertRecorder{}
 		opts := solver.DefaultOptions()
 		opts.Certify = crec
-		res, solveErr := solver.Maximize(p, opts)
+		res, solveErr := solver.Maximize(context.Background(), p, opts)
 		certs, err := cert.Build("fuzz", "", 0, crec)
 		if err != nil {
 			t.Fatal(err)

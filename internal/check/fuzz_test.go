@@ -19,6 +19,7 @@ package check_test
 //     solver finds an optimum.
 
 import (
+	"context"
 	"errors"
 	"testing"
 
@@ -177,7 +178,7 @@ func FuzzCheckSolverAgree(f *testing.F) {
 			Constraints: s.Constraints,
 			Objective:   s.Objective,
 		}
-		_, err := solver.Maximize(p, solver.DefaultOptions())
+		_, err := solver.Maximize(context.Background(), p, solver.DefaultOptions())
 		switch {
 		case rep.ProvenInfeasible():
 			if !errors.Is(err, solver.ErrInfeasible) {

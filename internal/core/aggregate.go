@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 
 	"licm/internal/expr"
@@ -82,6 +83,13 @@ type BoundsResult struct {
 // the solves inherit the DB's tracer, so a single SetTracer call
 // covers the whole query/solve pipeline.
 func Bounds(db *DB, objective expr.Lin, opts solver.Options) (BoundsResult, error) {
+	return BoundsContext(context.TODO(), db, objective, opts)
+}
+
+// BoundsContext is Bounds under ctx: when ctx ends mid-search, both
+// solves stop early and report best-effort bounds (solver.Maximize
+// describes the cancellation contract).
+func BoundsContext(ctx context.Context, db *DB, objective expr.Lin, opts solver.Options) (BoundsResult, error) {
 	if opts.Trace == nil {
 		opts.Trace = db.Tracer()
 	}
@@ -90,7 +98,7 @@ func Bounds(db *DB, objective expr.Lin, opts solver.Options) (BoundsResult, erro
 		obs.Int("cons", db.NumConstraints()),
 		obs.Int("obj_terms", len(objective.Terms())))
 	p := BuildProblem(db, objective)
-	min, max, err := solver.Bounds(p, opts)
+	min, max, err := solver.Bounds(ctx, p, opts)
 	if err != nil {
 		sp.End(obs.Bool("ok", false))
 		return BoundsResult{}, err
@@ -197,7 +205,7 @@ func EstimateCardinality(db *DB, r *Relation) CardinalityEstimate {
 }
 
 // maxI64 avoids the builtin max, which the min/max result variables
-// shadow inside Bounds.
+// shadow inside BoundsContext.
 func maxI64(a, b int64) int64 {
 	if a > b {
 		return a

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"sort"
 
@@ -180,6 +181,6 @@ func feasible(db *DB, opts solver.Options, extra ...expr.Constraint) bool {
 	fopts := opts
 	fopts.Prune = false
 	fopts.CompleteWitness = false
-	_, err := solver.Maximize(p, fopts)
+	_, err := solver.Maximize(context.TODO(), p, fopts)
 	return err == nil
 }

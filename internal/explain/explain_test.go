@@ -51,7 +51,7 @@ func TestExplainReportRoundTrip(t *testing.T) {
 	opts := solver.DefaultOptions()
 	opts.Workers = 1 // sequential: component wall times partition the search phase
 	opts.Explain = rec
-	min, max, err := solver.Bounds(p, opts)
+	min, max, err := solver.Bounds(context.Background(), p, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

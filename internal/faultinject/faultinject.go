@@ -1,19 +1,21 @@
 // Package faultinject provides deterministic fault-injection hook
 // points for the solver's hot paths. Production code compiles the
-// hooks in permanently; when no plan is armed they cost a single
-// atomic load, so they are safe to leave in release builds (the same
+// hooks in permanently; a solve without an Injector pays one nil check
+// per hook, so they are safe to leave in release builds (the same
 // trade the ctrl nil-check makes for instrumentation).
 //
-// Tests arm a Plan naming a site, a 0-based hit index, and an action;
-// the hook fires exactly once, at the chosen hit. Hit counters are
-// global atomics, so a fixed-seed single-worker solve replays the same
-// injection point on every run — the property the chaos sweep in
-// internal/super relies on to cover every ctrl batch boundary.
+// Tests attach a Plan to a solve's context with With: the plan names a
+// site, a 0-based hit index, and an action, and fires exactly once, at
+// the chosen hit. Hit counters belong to the Injector, so a fixed-seed
+// single-worker solve replays the same injection point on every run —
+// the property the chaos sweep in internal/super relies on to cover
+// every ctrl batch boundary — and concurrent solves never see each
+// other's plans.
 package faultinject
 
 import (
+	"context"
 	"fmt"
-	"sync"
 	"sync/atomic"
 )
 
@@ -46,13 +48,13 @@ func (s Site) String() string {
 type Action uint8
 
 const (
-	// None leaves the site untouched (also the counting-only mode: an
-	// armed plan with Action None measures hit counts without injecting).
+	// None leaves the site untouched (also the counting-only mode: a
+	// plan with Action None measures hit counts without injecting).
 	None Action = iota
 	// Panic makes the site panic with an *Injected value.
 	Panic
-	// Cancel latches the solve's cooperative cancellation, as if
-	// Options.Cancel had fired. Honored at CtrlBatch only (the simplex
+	// Cancel latches the solve's cooperative cancellation, as if its
+	// context had been canceled. Honored at CtrlBatch only (the simplex
 	// layer has no cancellation channel); at LPPivot it is a no-op.
 	Cancel
 	// JitterNaN poisons the site's numeric state with a NaN. Honored at
@@ -83,8 +85,8 @@ func (a Action) String() string {
 	}
 }
 
-// Plan is one armed injection: at the Hit-th (0-based) hit of Site,
-// perform Action.
+// Plan is one injection: at the Hit-th (0-based) hit of Site, perform
+// Action.
 type Plan struct {
 	Site   Site
 	Hit    int64
@@ -104,59 +106,54 @@ func (p *Injected) Error() string {
 	return fmt.Sprintf("faultinject: injected panic at %s hit %d", p.Site, p.Hit)
 }
 
-var (
-	armed   atomic.Bool
-	planPtr atomic.Pointer[Plan]
-	hits    [numSites]atomic.Int64
-
-	// armMu serializes Arm/disarm so two concurrent tests cannot
-	// interleave plans; hook-side reads stay lock-free.
-	armMu sync.Mutex
-)
-
-// Enabled is the hook fast path: false (one atomic load) whenever no
-// plan is armed.
-func Enabled() bool { return armed.Load() }
-
-// Arm installs the plan, resets all hit counters, and returns the
-// disarm func. Only one plan can be armed at a time; Arm panics if a
-// plan is already active (tests must disarm between cases).
-func Arm(p Plan) (disarm func()) {
-	armMu.Lock()
-	defer armMu.Unlock()
-	if armed.Load() {
-		panic("faultinject: Arm while already armed")
-	}
-	for i := range hits {
-		hits[i].Store(0)
-	}
-	pc := p
-	planPtr.Store(&pc)
-	armed.Store(true)
-	return func() {
-		armMu.Lock()
-		defer armMu.Unlock()
-		armed.Store(false)
-		planPtr.Store(nil)
-	}
+// Injector is one solve's plan together with its own hit counters. A
+// nil *Injector is valid and never injects.
+type Injector struct {
+	plan Plan
+	hits [numSites]atomic.Int64
 }
 
-// Hits reports how many times site has been reached since the last
-// Arm. Arm a Plan with Action None to measure a workload's hit counts
-// before sweeping injections across them.
-func Hits(s Site) int64 { return hits[s].Load() }
+// ctxKey keys the Injector in a context.
+type ctxKey struct{}
 
-// Check records a hit at site and returns the action the site must
-// perform, None in the overwhelmingly common case. Callers should
-// guard with Enabled() to keep the unarmed cost to one atomic load.
-func Check(s Site) Action {
-	if !armed.Load() {
+// With returns a child of ctx carrying a fresh Injector for p. Every
+// solve run under the returned context (both directions of a Bounds
+// call, and a supervisor's retries) shares that Injector's counters,
+// so the plan fires at most once across all of them.
+func With(ctx context.Context, p Plan) context.Context {
+	return context.WithValue(ctx, ctxKey{}, &Injector{plan: p})
+}
+
+// From returns the Injector carried by ctx, or nil when there is none.
+func From(ctx context.Context) *Injector {
+	in, _ := ctx.Value(ctxKey{}).(*Injector)
+	return in
+}
+
+// Hits reports how many times site has been reached under this
+// Injector. Attach a Plan with Action None to measure a workload's hit
+// counts before sweeping injections across them.
+func (in *Injector) Hits(s Site) int64 {
+	if in == nil {
+		return 0
+	}
+	return in.hits[s].Load()
+}
+
+// Check records a hit at site s and returns the action the site must
+// perform: None in the overwhelmingly common case, and always on a nil
+// Injector. A Panic action does not return — Check panics with an
+// *Injected naming the site and hit.
+func (in *Injector) Check(s Site) Action {
+	if in == nil {
 		return None
 	}
-	n := hits[s].Add(1) - 1
-	p := planPtr.Load()
-	if p == nil || p.Site != s || p.Hit != n {
+	n := in.hits[s].Add(1) - 1
+	if in.plan.Site != s || in.plan.Hit != n {
 		return None
 	}
-	return p.Action
+	if in.plan.Action == Panic {
+		panic(&Injected{Site: s, Hit: n})
+	}
+	return in.plan.Action
 }

@@ -1,27 +1,46 @@
 package faultinject
 
 import (
+	"context"
 	"errors"
 	"sync"
 	"sync/atomic"
 	"testing"
 )
 
+// check calls in.Check, converting an injected panic into the Panic
+// action so sequences of hits can be asserted uniformly.
+func check(in *Injector, s Site) (a Action) {
+	defer func() {
+		if r := recover(); r != nil {
+			inj, ok := r.(*Injected)
+			if !ok || inj.Site != s {
+				panic(r)
+			}
+			a = Panic
+		}
+	}()
+	return in.Check(s)
+}
+
 func TestUnarmedIsNoop(t *testing.T) {
-	if Enabled() {
-		t.Fatal("Enabled() with no plan armed")
+	in := From(context.Background())
+	if in != nil {
+		t.Fatal("From(Background) returned an injector")
 	}
-	if a := Check(CtrlBatch); a != None {
-		t.Fatalf("unarmed Check = %v, want None", a)
+	if a := in.Check(CtrlBatch); a != None {
+		t.Fatalf("nil Check = %v, want None", a)
+	}
+	if h := in.Hits(CtrlBatch); h != 0 {
+		t.Fatalf("nil Hits = %d, want 0", h)
 	}
 }
 
 func TestFiresExactlyOnceAtChosenHit(t *testing.T) {
-	disarm := Arm(Plan{Site: CtrlBatch, Hit: 2, Action: Panic})
-	defer disarm()
+	in := From(With(context.Background(), Plan{Site: CtrlBatch, Hit: 2, Action: Panic}))
 	got := make([]Action, 0, 5)
 	for i := 0; i < 5; i++ {
-		got = append(got, Check(CtrlBatch))
+		got = append(got, check(in, CtrlBatch))
 	}
 	want := []Action{None, None, Panic, None, None}
 	for i := range want {
@@ -29,55 +48,62 @@ func TestFiresExactlyOnceAtChosenHit(t *testing.T) {
 			t.Fatalf("hit %d: action %v, want %v", i, got[i], want[i])
 		}
 	}
-	if h := Hits(CtrlBatch); h != 5 {
+	if h := in.Hits(CtrlBatch); h != 5 {
 		t.Fatalf("Hits = %d, want 5", h)
 	}
 }
 
+func TestInjectedPanicNamesHit(t *testing.T) {
+	in := From(With(context.Background(), Plan{Site: LPPivot, Hit: 1, Action: Panic}))
+	in.Check(LPPivot)
+	defer func() {
+		inj, ok := recover().(*Injected)
+		if !ok || inj.Site != LPPivot || inj.Hit != 1 {
+			t.Fatalf("recovered %v, want *Injected at lp-pivot hit 1", inj)
+		}
+	}()
+	in.Check(LPPivot)
+	t.Fatal("hit 1 did not panic")
+}
+
 func TestSitesCountIndependently(t *testing.T) {
-	disarm := Arm(Plan{Site: LPPivot, Hit: 0, Action: JitterNaN})
-	defer disarm()
-	if a := Check(CtrlBatch); a != None {
-		t.Fatalf("CtrlBatch fired a plan armed for LPPivot: %v", a)
+	in := From(With(context.Background(), Plan{Site: LPPivot, Hit: 0, Action: JitterNaN}))
+	if a := in.Check(CtrlBatch); a != None {
+		t.Fatalf("CtrlBatch fired a plan for LPPivot: %v", a)
 	}
-	if a := Check(LPPivot); a != JitterNaN {
+	if a := in.Check(LPPivot); a != JitterNaN {
 		t.Fatalf("LPPivot hit 0 = %v, want JitterNaN", a)
 	}
-	if Hits(CtrlBatch) != 1 || Hits(LPPivot) != 1 {
-		t.Fatalf("hits = %d/%d, want 1/1", Hits(CtrlBatch), Hits(LPPivot))
+	if in.Hits(CtrlBatch) != 1 || in.Hits(LPPivot) != 1 {
+		t.Fatalf("hits = %d/%d, want 1/1", in.Hits(CtrlBatch), in.Hits(LPPivot))
 	}
 }
 
+// TestCountingModeAndRearmResets: a None plan only counts, every With
+// call starts its own counters, and a plan never leaks into another
+// context's injector — the isolation that lets faulted solves run
+// concurrently.
 func TestCountingModeAndRearmResets(t *testing.T) {
-	disarm := Arm(Plan{Site: CtrlBatch, Hit: -1, Action: None})
+	ctx := context.Background()
+	counting := From(With(ctx, Plan{Site: CtrlBatch, Hit: -1, Action: None}))
 	for i := 0; i < 7; i++ {
-		if a := Check(CtrlBatch); a != None {
+		if a := counting.Check(CtrlBatch); a != None {
 			t.Fatalf("counting mode injected %v", a)
 		}
 	}
-	if Hits(CtrlBatch) != 7 {
-		t.Fatalf("Hits = %d, want 7", Hits(CtrlBatch))
+	if counting.Hits(CtrlBatch) != 7 {
+		t.Fatalf("Hits = %d, want 7", counting.Hits(CtrlBatch))
 	}
-	disarm()
-	disarm2 := Arm(Plan{Site: CtrlBatch, Hit: 0, Action: Cancel})
-	defer disarm2()
-	if Hits(CtrlBatch) != 0 {
-		t.Fatalf("re-arm did not reset hits: %d", Hits(CtrlBatch))
+	fresh := From(With(ctx, Plan{Site: CtrlBatch, Hit: 0, Action: Cancel}))
+	if fresh.Hits(CtrlBatch) != 0 {
+		t.Fatalf("new injector inherited hits: %d", fresh.Hits(CtrlBatch))
 	}
-	if a := Check(CtrlBatch); a != Cancel {
-		t.Fatalf("hit 0 after re-arm = %v, want Cancel", a)
+	if a := fresh.Check(CtrlBatch); a != Cancel {
+		t.Fatalf("hit 0 of the new injector = %v, want Cancel", a)
 	}
-}
-
-func TestDoubleArmPanics(t *testing.T) {
-	disarm := Arm(Plan{Site: CtrlBatch, Hit: 0, Action: None})
-	defer disarm()
-	defer func() {
-		if recover() == nil {
-			t.Fatal("second Arm did not panic")
-		}
-	}()
-	Arm(Plan{Site: LPPivot, Hit: 0, Action: None})
+	if counting.Hits(CtrlBatch) != 7 {
+		t.Fatalf("the new injector's hit moved the old one's counter to %d", counting.Hits(CtrlBatch))
+	}
 }
 
 func TestInjectedIsError(t *testing.T) {
@@ -89,11 +115,10 @@ func TestInjectedIsError(t *testing.T) {
 }
 
 // TestConcurrentChecks exercises the lock-free hook path under the
-// race detector: concurrent Check calls against one armed plan must be
+// race detector: concurrent Check calls against one injector must be
 // safe and fire the action exactly once.
 func TestConcurrentChecks(t *testing.T) {
-	disarm := Arm(Plan{Site: CtrlBatch, Hit: 500, Action: Panic})
-	defer disarm()
+	in := From(With(context.Background(), Plan{Site: CtrlBatch, Hit: 500, Action: Panic}))
 	var fired atomic.Int64
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
@@ -101,7 +126,7 @@ func TestConcurrentChecks(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 250; i++ {
-				if Check(CtrlBatch) == Panic {
+				if check(in, CtrlBatch) == Panic {
 					fired.Add(1)
 				}
 			}
@@ -111,7 +136,7 @@ func TestConcurrentChecks(t *testing.T) {
 	if n := fired.Load(); n != 1 {
 		t.Fatalf("plan fired %d times, want exactly once", n)
 	}
-	if Hits(CtrlBatch) != 2000 {
-		t.Fatalf("Hits = %d, want 2000", Hits(CtrlBatch))
+	if in.Hits(CtrlBatch) != 2000 {
+		t.Fatalf("Hits = %d, want 2000", in.Hits(CtrlBatch))
 	}
 }

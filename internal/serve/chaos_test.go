@@ -18,12 +18,8 @@ import (
 // is exact, proven-interval, sampled, or a structured typed error —
 // no bare 5xx, no hung connection, no escaped panic. Client.Query
 // already rejects any contract violation, so an err from it is a
-// chaos finding.
-//
-// Faults are armed globally (internal/faultinject holds one plan at a
-// time), so which in-flight solve actually absorbs an injection is
-// scheduling-dependent — irrelevant here, since the contract must hold
-// for every response no matter who got hit.
+// chaos finding. Each plan rides its own request's context, so a clean
+// request must come back untouched: no recovered panic, no retry.
 func TestServeChaosMatrix(t *testing.T) {
 	if testing.Short() {
 		t.Skip("chaos matrix is slow under -short")
@@ -54,6 +50,10 @@ func TestServeChaosMatrix(t *testing.T) {
 		if err != nil {
 			failures = append(failures, fmt.Sprintf("%s: %v", label, err))
 			return
+		}
+		if label == "clean" && (resp.PanicsRecovered != 0 || resp.Retries != 0) {
+			failures = append(failures, fmt.Sprintf("clean request %d hit by another request's fault: %d panics, %d retries",
+				resp.ID, resp.PanicsRecovered, resp.Retries))
 		}
 		panicsSeen += resp.PanicsRecovered
 		retriesSeen += resp.Retries

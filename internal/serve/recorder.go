@@ -184,8 +184,10 @@ func hasBadge(bs []string, b string) bool {
 	return false
 }
 
+// removeBadge returns bs without b in a new slice: a Snapshot taken
+// earlier shares the old backing array and may still be serializing it.
 func removeBadge(bs []string, b string) []string {
-	out := bs[:0]
+	out := make([]string, 0, len(bs))
 	for _, x := range bs {
 		if x != b {
 			out = append(out, x)

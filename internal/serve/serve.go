@@ -22,9 +22,9 @@
 //     queued queries finish, then the HTTP intake and the debug server
 //     close. New queries during drain get a typed "draining" error.
 //   - Test-only fault injection: when enabled, an X-Licm-Fault header
-//     arms an internal/faultinject plan around that request's solve,
+//     attaches an internal/faultinject plan to that request's context,
 //     so chaos harnesses can hammer a live server at every ladder
-//     rung.
+//     rung while faulted and clean requests solve side by side.
 //
 // The protocol contract, asserted by Response.Protocol and the chaos
 // CI job: every response is exact, proven-interval, sampled, or a
@@ -87,8 +87,8 @@ type Config struct {
 	// MaxDeadline clamps client-requested deadlines; 0 means 2m.
 	MaxDeadline time.Duration
 
-	// AllowFaultHeader honors the X-Licm-Fault header, arming an
-	// internal/faultinject plan around the request's solve. Test-only:
+	// AllowFaultHeader honors the X-Licm-Fault header, attaching an
+	// internal/faultinject plan to the request's solve. Test-only:
 	// never set it on a production server.
 	AllowFaultHeader bool
 
@@ -127,11 +127,10 @@ func (cfg Config) normalized() Config {
 
 // task is one admitted query waiting for a worker.
 type task struct {
-	req   *Request
-	ctx   context.Context
-	fault *faultinject.Plan
-	enq   time.Time
-	done  chan *Response // buffered; the worker's send never blocks
+	req  *Request
+	ctx  context.Context
+	enq  time.Time
+	done chan *Response // buffered; the worker's send never blocks
 
 	// rid is the effective request id; tr the request's forked tracer
 	// (request_id-stamped, teeing the service sink with the flight
@@ -170,9 +169,6 @@ type Server struct {
 	ridSeq   atomic.Int64
 
 	reqSeq atomic.Int64
-	// faultMu serializes fault-armed solves: internal/faultinject holds
-	// one global plan at a time.
-	faultMu sync.Mutex
 
 	srv   *http.Server
 	ln    net.Listener
@@ -330,10 +326,12 @@ func (s *Server) Drain(ctx context.Context) error {
 		drainErr = fmt.Errorf("serve: drain timed out with queries in flight: %w", ctx.Err())
 	}
 
-	sctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
+	// The HTTP shutdown shares the caller's budget: net/http counts a
+	// connection that never carried a request as active for its first
+	// 5s, so a fixed shorter bound would fail drains with no query in
+	// flight. An expired ctx still closes the listener.
 	if s.srv != nil {
-		if err := s.srv.Shutdown(sctx); err != nil && drainErr == nil {
+		if err := s.srv.Shutdown(ctx); err != nil && drainErr == nil {
 			drainErr = fmt.Errorf("serve: http shutdown: %w", err)
 		}
 	}
@@ -477,10 +475,17 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		ctx, cancel = context.WithTimeout(ctx, deadline)
 		defer cancel()
 	}
+	if fault != nil {
+		// The plan rides this request's context alone, so faulted
+		// requests solve concurrently and never reach another
+		// request's solve.
+		ctx = faultinject.With(ctx, *fault)
+		s.reg.Counter("serve.faults_armed").Inc()
+	}
 
 	// Admission. Under the lock so drain's "no new pending work after
 	// draining flips" invariant holds.
-	t := &task{req: &req, ctx: ctx, fault: fault, enq: time.Now(),
+	t := &task{req: &req, ctx: ctx, enq: time.Now(),
 		done: make(chan *Response, 1), rid: rid, tr: rtr}
 	tk = t
 	s.mu.Lock()
@@ -561,14 +566,6 @@ func (s *Server) guardedAnswer(t *task) (resp *Response) {
 			resp = errResponse(t.req.Spec.ID, ErrInternal, "contained worker panic: %s", trim(fmt.Sprint(v)))
 		}
 	}()
-	if t.fault != nil {
-		// One global fault plan at a time: faulted solves serialize.
-		s.faultMu.Lock()
-		defer s.faultMu.Unlock()
-		disarm := faultinject.Arm(*t.fault)
-		defer disarm()
-		s.reg.Counter("serve.faults_armed").Inc()
-	}
 	return s.answer(t)
 }
 
@@ -596,7 +593,6 @@ func (s *Server) answer(t *task) *Response {
 	opts := s.cfg.Workload.Solver
 	opts.Trace = tr
 	opts.Metrics = s.reg
-	opts.RequestID = t.rid
 	xrec := &solver.ExplainRecorder{}
 	opts.Explain = xrec
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -18,9 +19,8 @@ import (
 
 // testWorkload is the small fixed-seed store every serve test runs
 // against: large enough to exercise all query shapes, small enough
-// that solves stay in the exact/proven band and the whole suite —
-// faulted solves serialize on the global fault plan — survives the
-// race detector on a single-core runner.
+// that solves stay in the exact/proven band and the whole suite
+// survives the race detector on a single-core runner.
 func testWorkload() workload.Config {
 	opts := solver.DefaultOptions()
 	opts.CompleteWitness = false
@@ -350,6 +350,100 @@ func TestServeDrain(t *testing.T) {
 	// listener still answers, and Drain is idempotent.
 	if err := s.Drain(dctx); err != nil {
 		t.Fatalf("second drain: %v", err)
+	}
+}
+
+// TestServeDrainIdleConnection: a client holding a connection that
+// never carried a request must not fail the drain. net/http counts
+// such a connection as active for its first 5s, so the HTTP shutdown
+// has to run on the caller's drain budget, not a shorter fixed one.
+func TestServeDrainIdleConnection(t *testing.T) {
+	s, err := New(Config{Workload: testWorkload()})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	addr, err := s.Start("127.0.0.1:0")
+	if err != nil {
+		t.Fatalf("Start: %v", err)
+	}
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatalf("dial: %v", err)
+	}
+	defer conn.Close()
+	dctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
+	defer cancel()
+	if err := s.Drain(dctx); err != nil {
+		t.Fatalf("drain with an idle client connection: %v", err)
+	}
+	if c, err := net.Dial("tcp", addr); err == nil {
+		c.Close()
+		t.Error("listener still accepts connections after drain")
+	}
+}
+
+// TestServeFaultIsolation: a fault header reaches only its own
+// request's solve. Faulted and clean requests run concurrently on
+// several workers; every clean answer must come back untouched, and
+// every solved faulted one must recover exactly its own panic.
+func TestServeFaultIsolation(t *testing.T) {
+	_, srvClient := testServer(t, func(c *Config) {
+		c.AllowFaultHeader = true
+		c.Workers = 4
+	})
+	// A private transport whose spare connections close before the
+	// cleanup drain, so it does not wait out net/http's 5s grace for a
+	// connection the burst dialed but never used.
+	hc := &http.Client{Transport: &http.Transport{}}
+	t.Cleanup(hc.CloseIdleConnections)
+	client := &Client{BaseURL: srvClient.BaseURL, HTTPClient: hc}
+	faulty := &Client{BaseURL: srvClient.BaseURL, HTTPClient: hc, FaultHeader: "ctrl-batch:0:panic"}
+	// Alone, a faulted spec recovers one panic exactly when its solve
+	// reaches a ctrl batch boundary; keep those specs.
+	var specs []workload.Spec
+	for _, sp := range testSpecs(t, 4) {
+		resp, err := faulty.Query(context.Background(), &Request{Spec: sp})
+		if err != nil {
+			t.Fatalf("calibration query %s: %v", sp.Name(), err)
+		}
+		if resp.PanicsRecovered == 1 {
+			specs = append(specs, sp)
+		}
+	}
+	if len(specs) == 0 {
+		t.Fatal("no spec reaches a ctrl batch boundary")
+	}
+	const perKind = 8
+	type result struct {
+		resp    *Response
+		err     error
+		faulted bool
+	}
+	results := make([]result, 2*perKind)
+	var wg sync.WaitGroup
+	for i := range results {
+		c, faulted := client, i%2 == 0
+		if faulted {
+			c = faulty
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			resp, err := c.Query(context.Background(), &Request{Spec: specs[(i/2)%len(specs)]})
+			results[i] = result{resp, err, faulted}
+		}()
+	}
+	wg.Wait()
+	for i, r := range results {
+		if r.err != nil {
+			t.Fatalf("request %d: %v", i, r.err)
+		}
+		switch {
+		case !r.faulted && (r.resp.PanicsRecovered != 0 || r.resp.Retries != 0):
+			t.Errorf("clean request %d: %d panics, %d retries, want 0/0", i, r.resp.PanicsRecovered, r.resp.Retries)
+		case r.faulted && !r.resp.Shed && r.resp.PanicsRecovered != 1:
+			t.Errorf("faulted request %d: %d panics recovered, want exactly its own 1", i, r.resp.PanicsRecovered)
+		}
 	}
 }
 

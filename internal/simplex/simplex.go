@@ -80,6 +80,11 @@ type row struct {
 // LP is a linear program under construction. Create with New, populate
 // with SetObjective/SetBounds/AddRow, then call Solve.
 type LP struct {
+	// Faults, if non-nil, is checked at every pivot (the LPPivot
+	// site). The solver hands each LP it builds the injector carried
+	// by its solve's context; nil, the default, never injects.
+	Faults *faultinject.Injector
+
 	n    int // structural variables
 	obj  []float64
 	lo   []float64
@@ -180,6 +185,7 @@ type tableau struct {
 	// the tableau can no longer be trusted and the solve must end with
 	// IterLimit rather than a fabricated Optimal.
 	corrupt bool
+	faults  *faultinject.Injector
 }
 
 func newTableau(lp *LP) *tableau {
@@ -230,6 +236,7 @@ func newTableau(lp *LP) *tableau {
 		basis:   make([]int, m),
 		inBasis: make([]bool, ncols),
 		obj:     make([]float64, ncols),
+		faults:  lp.Faults,
 	}
 	copy(t.lo, lp.lo)
 	copy(t.hi, lp.hi)
@@ -522,19 +529,15 @@ func (t *tableau) applyStep(j, dir int, delta float64, leave int, leaveToUpper b
 
 // pivot performs Gaussian elimination so that column j becomes the
 // unit vector for row r. It is the fault-injection site for numerical
-// corruption: an armed plan can poison the pivot element (NaN/Inf) or
-// panic at an exact pivot index, exercising the solver's defenses
-// against a misbehaving LP kernel.
+// corruption: a plan can poison the pivot element (NaN/Inf) or panic
+// at an exact pivot index, exercising the solver's defenses against a
+// misbehaving LP kernel.
 func (t *tableau) pivot(r, j int) {
-	if faultinject.Enabled() {
-		switch faultinject.Check(faultinject.LPPivot) {
-		case faultinject.Panic:
-			panic(&faultinject.Injected{Site: faultinject.LPPivot, Hit: faultinject.Hits(faultinject.LPPivot) - 1})
-		case faultinject.JitterNaN:
-			t.a[r][j] = math.NaN()
-		case faultinject.JitterInf:
-			t.a[r][j] = math.Inf(1)
-		}
+	switch t.faults.Check(faultinject.LPPivot) {
+	case faultinject.JitterNaN:
+		t.a[r][j] = math.NaN()
+	case faultinject.JitterInf:
+		t.a[r][j] = math.Inf(1)
 	}
 	piv := t.a[r][j]
 	if math.IsNaN(piv) || math.IsInf(piv, 0) || math.Abs(piv) < 1e-12 {

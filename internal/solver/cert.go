@@ -7,6 +7,7 @@ import (
 	"sync"
 
 	"licm/internal/expr"
+	"licm/internal/faultinject"
 	"licm/internal/simplex"
 )
 
@@ -181,15 +182,16 @@ func (r *CertRecorder) setBase(run int, base int64) {
 // certify runs the certification pass over every solved component and
 // stores the results. comps carries the projected matrices (the same
 // buildExplainComps output the explain layer fingerprints), results
-// the search outcomes, aligned by index.
-func (r *CertRecorder) certify(run int, comps []ExplainComp, results []compResult) {
+// the search outcomes, aligned by index; faults is the solve's fault
+// injector, handed to every LP the pass builds.
+func (r *CertRecorder) certify(run int, comps []ExplainComp, results []compResult, faults *faultinject.Injector) {
 	budget := r.NodeBudget
 	if budget <= 0 {
 		budget = defaultCertNodes
 	}
 	out := make([]CertComp, len(comps))
 	for i := range comps {
-		out[i] = certifyComp(&comps[i], &results[i], budget)
+		out[i] = certifyComp(&comps[i], &results[i], budget, faults)
 	}
 	r.mu.Lock()
 	r.runs[run].Comps = out
@@ -209,7 +211,7 @@ func (r *CertRecorder) finish(run int, res *Result, err error) {
 }
 
 // certifyComp produces one component's certificate.
-func certifyComp(ec *ExplainComp, cr *compResult, budget int64) CertComp {
+func certifyComp(ec *ExplainComp, cr *compResult, budget int64, faults *faultinject.Injector) CertComp {
 	cc := CertComp{
 		Index: ec.Index,
 		Vars:  ec.Vars,
@@ -227,6 +229,7 @@ func certifyComp(ec *ExplainComp, cr *compResult, budget int64) CertComp {
 		obj:    ec.Obj,
 		dec:    make([]int8, ec.Vars),
 		budget: budget,
+		faults: faults,
 	}
 	for i := range ct.dec {
 		ct.dec[i] = -1
@@ -329,6 +332,7 @@ type certifier struct {
 	dec    []int8
 	budget int64
 	failed error
+	faults *faultinject.Injector
 }
 
 // node certifies the subtree under the current decision prefix.
@@ -576,6 +580,7 @@ func (ct *certifier) tryLP() (leaf *CertNode, hint int32) {
 		return nil, -1
 	}
 	lp := simplex.New(ct.n)
+	lp.Faults = ct.faults
 	for j := 0; j < ct.n; j++ {
 		if ct.hasVstar && ct.obj[j] != 0 {
 			lp.SetObjective(j, float64(ct.obj[j]))

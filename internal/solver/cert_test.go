@@ -1,6 +1,7 @@
 package solver
 
 import (
+	"context"
 	"errors"
 	"strings"
 	"testing"
@@ -68,7 +69,7 @@ func TestCertifyOptimal(t *testing.T) {
 	crec := &CertRecorder{}
 	opts := DefaultOptions()
 	opts.Certify = crec
-	res, err := Maximize(p, opts)
+	res, err := Maximize(context.Background(), p, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +129,7 @@ func TestCertifyBranchingTree(t *testing.T) {
 	crec := &CertRecorder{}
 	opts := DefaultOptions()
 	opts.Certify = crec
-	res, err := Maximize(p, opts)
+	res, err := Maximize(context.Background(), p, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +170,7 @@ func TestCertifyInfeasible(t *testing.T) {
 	crec := &CertRecorder{}
 	opts := DefaultOptions()
 	opts.Certify = crec
-	_, err := Maximize(p, opts)
+	_, err := Maximize(context.Background(), p, opts)
 	if !errors.Is(err, ErrInfeasible) {
 		t.Fatalf("err = %v, want infeasible", err)
 	}
@@ -203,7 +204,7 @@ func TestCertifyUnprovenSkips(t *testing.T) {
 	opts.UseLP = false // cripple bounding so the budget trips
 	opts.MaxNodes = 50
 	opts.Certify = crec
-	res, err := Maximize(p, opts)
+	res, err := Maximize(context.Background(), p, opts)
 	if err != nil {
 		// Budget starvation before any feasible point is also fine for
 		// this test; the run then records the error.
@@ -241,7 +242,7 @@ func TestCertifyBoundsBothSenses(t *testing.T) {
 	crec := &CertRecorder{}
 	opts := DefaultOptions()
 	opts.Certify = crec
-	minRes, maxRes, err := Bounds(p, opts)
+	minRes, maxRes, err := Bounds(context.Background(), p, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -283,7 +284,7 @@ func TestCertifyMergedPath(t *testing.T) {
 	opts := DefaultOptions()
 	opts.Decompose = false
 	opts.Certify = crec
-	res, err := Maximize(p, opts)
+	res, err := Maximize(context.Background(), p, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package solver
 
 import (
+	"context"
 	"errors"
 	"math/rand"
 	"testing"
@@ -24,7 +25,7 @@ func TestCheckRejectsInfeasibleStore(t *testing.T) {
 	}
 	opts := DefaultOptions()
 	opts.Check = true
-	_, err := Maximize(p, opts)
+	_, err := Maximize(context.Background(), p, opts)
 	if !errors.Is(err, ErrInfeasible) {
 		t.Fatalf("err = %v, want ErrInfeasible", err)
 	}
@@ -54,7 +55,7 @@ func TestCheckPhaseObservability(t *testing.T) {
 	opts.Check = true
 	opts.Trace = tr
 	opts.Metrics = reg
-	if _, err := Maximize(p, opts); !errors.Is(err, ErrInfeasible) {
+	if _, err := Maximize(context.Background(), p, opts); !errors.Is(err, ErrInfeasible) {
 		t.Fatalf("err = %v, want ErrInfeasible", err)
 	}
 	found := false
@@ -98,8 +99,8 @@ func TestCheckPreservesBounds(t *testing.T) {
 			if dir == "min" {
 				solve = Minimize
 			}
-			r0, err0 := solve(p, base)
-			r1, err1 := solve(p, checked)
+			r0, err0 := solve(context.Background(), p, base)
+			r1, err1 := solve(context.Background(), p, checked)
 			if (err0 == nil) != (err1 == nil) {
 				t.Fatalf("problem %d %s: err without check = %v, with = %v", i, dir, err0, err1)
 			}

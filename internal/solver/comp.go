@@ -143,16 +143,11 @@ type compResult struct {
 // flushCtrl pushes counter deltas since the previous flush into the
 // shared ctrl and polls cancellation; it returns false (and latches
 // aborted) when the solve should stop. It is the solver's batch
-// boundary, so the fault-injection hook lives here: an armed plan can
-// panic or latch cancellation at an exact batch index.
+// boundary, so the fault-injection hook lives here: the context's plan
+// can panic or latch cancellation at an exact batch index.
 func (c *comp) flushCtrl() bool {
-	if faultinject.Enabled() {
-		switch faultinject.Check(faultinject.CtrlBatch) {
-		case faultinject.Panic:
-			panic(&faultinject.Injected{Site: faultinject.CtrlBatch, Hit: faultinject.Hits(faultinject.CtrlBatch) - 1})
-		case faultinject.Cancel:
-			c.ctrl.forceCancel()
-		}
+	if c.ctrl.faults.Check(faultinject.CtrlBatch) == faultinject.Cancel {
+		c.ctrl.forceCancel()
 	}
 	dn := c.nodes - c.flushedNodes
 	dl := c.lpSolves - c.flushedLPs
@@ -699,6 +694,7 @@ func (c *comp) solveRelaxation(fixedVal int64) (simplex.Solution, simplex.Status
 		}
 	}
 	lp := simplex.New(len(cols))
+	lp.Faults = c.ctrl.injector()
 	for j, v := range cols {
 		if c.obj[v] != 0 {
 			lp.SetObjective(j, float64(c.obj[v]))

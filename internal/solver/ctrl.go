@@ -1,40 +1,35 @@
 package solver
 
 import (
+	"context"
 	"sync/atomic"
 	"time"
 
+	"licm/internal/faultinject"
 	"licm/internal/obs"
 )
 
-// ProgressInfo is a cumulative snapshot of solver work, delivered to
-// Options.Progress and emitted as obs progress events, so long solves
-// are watchable in flight. Counts are totals across all components
-// (and all workers) of the current Maximize/Minimize call.
-type ProgressInfo struct {
-	Nodes        int64
-	LPSolves     int64
-	Propagations int64
-	Incumbents   int64
-}
-
 // ctrlGranularity is how many branch-and-bound nodes a component
 // explores between flushes of its local counters into the shared
-// atomics (and polls of Options.Cancel). It bounds both the staleness
-// of live counters and the latency of cancellation.
+// atomics (and polls of the solve's context). It bounds both the
+// staleness of live counters and the latency of cancellation.
 const ctrlGranularity = 1024
+
+// progressInterval is the node spacing of solver.progress trace
+// events.
+const progressInterval = 1 << 16
 
 // ctrl is the shared live-instrumentation and cancellation state of
 // one solve. Components — possibly running on worker goroutines —
 // flush counter deltas into it; it forwards them to the metrics
-// registry, fires the periodic progress callback, and polls the
-// cancel hook. A nil *ctrl (instrumentation fully off) costs the hot
-// path a single pointer comparison per node.
+// registry, emits the periodic progress event, polls the context, and
+// carries the context's fault injector to the hook sites. A nil *ctrl
+// (instrumentation fully off) costs the hot path a single pointer
+// comparison per node.
 type ctrl struct {
-	trace    *obs.Tracer
-	progress func(ProgressInfo)
-	cancel   func() bool
-	interval int64
+	ctx    context.Context
+	trace  *obs.Tracer
+	faults *faultinject.Injector
 
 	nodes        atomic.Int64
 	lpSolves     atomic.Int64
@@ -47,21 +42,15 @@ type ctrl struct {
 	hLP, hNode                 *obs.Histogram
 }
 
-// newCtrl returns the control block for a solve, or nil when no
-// instrumentation is requested (the fast path).
-func newCtrl(opts Options) *ctrl {
-	if opts.Trace == nil && opts.Metrics == nil && opts.Progress == nil && opts.Cancel == nil {
+// newCtrl returns the control block for a solve, or nil when nothing
+// needs it — no cancellable context, tracer, registry or fault
+// injector (the fast path).
+func newCtrl(ctx context.Context, opts Options) *ctrl {
+	faults := faultinject.From(ctx)
+	if ctx.Done() == nil && opts.Trace == nil && opts.Metrics == nil && faults == nil {
 		return nil
 	}
-	k := &ctrl{
-		trace:    opts.Trace,
-		progress: opts.Progress,
-		cancel:   opts.Cancel,
-		interval: opts.ProgressInterval,
-	}
-	if k.interval <= 0 {
-		k.interval = 1 << 16
-	}
+	k := &ctrl{ctx: ctx, trace: opts.Trace, faults: faults}
 	if opts.Metrics != nil {
 		k.cNodes = opts.Metrics.Counter("solver.nodes")
 		k.cLPs = opts.Metrics.Counter("solver.lp_solves")
@@ -71,6 +60,14 @@ func newCtrl(opts Options) *ctrl {
 		k.hNode = opts.Metrics.Histogram("solver.node_ns")
 	}
 	return k
+}
+
+// injector returns the solve's fault injector (nil when none).
+func (k *ctrl) injector() *faultinject.Injector {
+	if k == nil {
+		return nil
+	}
+	return k.faults
 }
 
 // timingLatencies reports whether per-LP and per-node-batch latencies
@@ -98,19 +95,9 @@ func (k *ctrl) observeNodeBatch(elapsed time.Duration, nodes int64) {
 	}
 }
 
-// snapshot returns the current cumulative totals.
-func (k *ctrl) snapshot() ProgressInfo {
-	return ProgressInfo{
-		Nodes:        k.nodes.Load(),
-		LPSolves:     k.lpSolves.Load(),
-		Propagations: k.propagations.Load(),
-		Incumbents:   k.incumbents.Load(),
-	}
-}
-
 // add flushes counter deltas, polls cancellation, and possibly emits a
-// progress event. It returns false when the solve should abort
-// (Options.Cancel fired, now or earlier).
+// progress event. It returns false when the solve should abort (the
+// context ended, now or earlier).
 func (k *ctrl) add(nodes, lps, props int64) bool {
 	if nodes != 0 {
 		k.nodes.Add(nodes)
@@ -127,7 +114,7 @@ func (k *ctrl) add(nodes, lps, props int64) bool {
 	if k.canceled.Load() {
 		return false
 	}
-	if k.cancel != nil && k.cancel() {
+	if k.ctx.Err() != nil {
 		k.canceled.Store(true)
 		k.trace.Event("solver.canceled", obs.I64("nodes", k.nodes.Load()))
 		return false
@@ -136,28 +123,23 @@ func (k *ctrl) add(nodes, lps, props int64) bool {
 	return true
 }
 
-// maybeEmit fires the progress callback and trace event when at least
-// interval nodes have passed since the previous emission. The CAS
-// elects a single emitter under concurrent workers; callbacks may
-// still arrive from any worker goroutine.
+// maybeEmit emits a solver.progress trace event when at least
+// progressInterval nodes have passed since the previous emission. The
+// CAS elects a single emitter under concurrent workers.
 func (k *ctrl) maybeEmit() {
 	total := k.nodes.Load()
 	last := k.lastEmit.Load()
-	if total-last < k.interval {
+	if total-last < progressInterval {
 		return
 	}
 	if !k.lastEmit.CompareAndSwap(last, total) {
 		return
 	}
-	p := k.snapshot()
-	if k.progress != nil {
-		k.progress(p)
-	}
 	k.trace.Progress("solver.progress",
-		obs.I64("nodes", p.Nodes),
-		obs.I64("lp_solves", p.LPSolves),
-		obs.I64("propagations", p.Propagations),
-		obs.I64("incumbents", p.Incumbents))
+		obs.I64("nodes", total),
+		obs.I64("lp_solves", k.lpSolves.Load()),
+		obs.I64("propagations", k.propagations.Load()),
+		obs.I64("incumbents", k.incumbents.Load()))
 }
 
 // incumbent records an incumbent update (live counter + trace event).
@@ -169,14 +151,14 @@ func (k *ctrl) incumbent(value, compNodes int64) {
 		obs.I64("component_nodes", compNodes))
 }
 
-// isCanceled reports whether Options.Cancel has fired.
+// isCanceled reports whether the solve has been canceled.
 func (k *ctrl) isCanceled() bool {
 	return k != nil && k.canceled.Load()
 }
 
-// forceCancel latches cancellation directly, bypassing the
-// Options.Cancel poll — the injected-cancellation path of the
-// fault-injection harness.
+// forceCancel latches cancellation directly, bypassing the context
+// poll — the injected-cancellation path of the fault-injection
+// harness.
 func (k *ctrl) forceCancel() {
 	if k != nil && !k.canceled.Swap(true) {
 		k.trace.Event("solver.canceled", obs.I64("nodes", k.nodes.Load()), obs.Bool("injected", true))

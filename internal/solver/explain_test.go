@@ -1,6 +1,7 @@
 package solver
 
 import (
+	"context"
 	"testing"
 )
 
@@ -15,7 +16,7 @@ func TestExplainRecorderMatchesStats(t *testing.T) {
 		opts.MaxNodes = 50_000
 		opts.Workers = workers
 		opts.Explain = rec
-		res, err := Maximize(p, opts)
+		res, err := Maximize(context.Background(), p, opts)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -90,7 +91,7 @@ func TestExplainBoundsRecordsBothSenses(t *testing.T) {
 	opts := DefaultOptions()
 	opts.MaxNodes = 50_000
 	opts.Explain = rec
-	if _, _, err := Bounds(p, opts); err != nil {
+	if _, _, err := Bounds(context.Background(), p, opts); err != nil {
 		t.Fatal(err)
 	}
 	runs := rec.Runs()
@@ -133,8 +134,9 @@ func TestExplainCanceledKeepsComponents(t *testing.T) {
 	opts := DefaultOptions()
 	opts.UseLP = false
 	opts.Explain = rec
-	opts.Cancel = func() bool { return true }
-	res, err := Maximize(p, opts)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	res, err := Maximize(ctx, p, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,12 +170,12 @@ func TestExplainCanceledKeepsComponents(t *testing.T) {
 func TestExplainRecorderIsNoop(t *testing.T) {
 	opts := DefaultOptions()
 	opts.MaxNodes = 20_000
-	plain, err := Maximize(hardProblem(), opts)
+	plain, err := Maximize(context.Background(), hardProblem(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	opts.Explain = &ExplainRecorder{}
-	traced, err := Maximize(hardProblem(), opts)
+	traced, err := Maximize(context.Background(), hardProblem(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}

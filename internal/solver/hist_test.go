@@ -1,6 +1,7 @@
 package solver
 
 import (
+	"context"
 	"testing"
 
 	"licm/internal/obs"
@@ -15,7 +16,7 @@ func TestLatencyHistograms(t *testing.T) {
 	opts := DefaultOptions()
 	opts.MaxNodes = 50_000
 	opts.Metrics = reg
-	res, err := Maximize(p, opts)
+	res, err := Maximize(context.Background(), p, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,8 +46,9 @@ func TestLatencyHistograms(t *testing.T) {
 // latency clocks stay off (timingLatencies is the hot-path gate).
 func TestLatencyHistogramsOffWithoutMetrics(t *testing.T) {
 	opts := DefaultOptions()
-	opts.Progress = func(ProgressInfo) {} // forces a non-nil ctrl
-	k := newCtrl(opts)
+	ctx, cancel := context.WithCancel(context.Background()) // forces a non-nil ctrl
+	defer cancel()
+	k := newCtrl(ctx, opts)
 	if k == nil {
 		t.Fatal("ctrl unexpectedly nil")
 	}

@@ -1,9 +1,9 @@
 package solver
 
 import (
+	"context"
 	"io"
 	"net/http"
-	"sync"
 	"testing"
 	"time"
 
@@ -55,7 +55,7 @@ func TestObsCountersMatchStats(t *testing.T) {
 		opts.Workers = workers
 		opts.Metrics = reg
 		opts.Trace = obs.New(sink)
-		res, err := Maximize(p, opts)
+		res, err := Maximize(context.Background(), p, opts)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -86,7 +86,7 @@ func TestTraceSpansCoverPhases(t *testing.T) {
 	opts := DefaultOptions()
 	opts.MaxNodes = 20_000
 	opts.Trace = obs.New(sink)
-	res, err := Maximize(p, opts)
+	res, err := Maximize(context.Background(), p, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,43 +146,64 @@ func TestTraceSpansCoverPhases(t *testing.T) {
 	}
 }
 
-// TestProgressCallback checks the periodic callback fires during a
-// long search with monotonically non-decreasing totals.
+// TestProgressCallback checks the periodic solver.progress trace
+// event fires during a long search, at the fixed node spacing, with
+// monotonically non-decreasing totals.
 func TestProgressCallback(t *testing.T) {
 	p := hardProblem()
-	var mu sync.Mutex
-	var infos []ProgressInfo
+	sink := &obs.CollectSink{}
 	opts := DefaultOptions()
 	opts.UseLP = false // keep the search in node-heavy DFS
-	opts.MaxNodes = 100_000
-	opts.ProgressInterval = 2048
-	opts.Progress = func(pi ProgressInfo) {
-		mu.Lock()
-		infos = append(infos, pi)
-		mu.Unlock()
-	}
-	if _, err := Maximize(p, opts); err != nil {
+	opts.MaxNodes = 300_000
+	opts.Trace = obs.New(sink)
+	if _, err := Maximize(context.Background(), p, opts); err != nil {
 		t.Fatal(err)
 	}
-	if len(infos) < 2 {
-		t.Fatalf("progress fired %d times, want >= 2", len(infos))
+	var nodes []int64
+	for _, e := range sink.Events() {
+		if e.Kind == obs.KindProgress && e.Name == "solver.progress" {
+			nodes = append(nodes, e.Attrs["nodes"].(int64))
+		}
 	}
-	for i := 1; i < len(infos); i++ {
-		if infos[i].Nodes < infos[i-1].Nodes {
-			t.Errorf("nodes regressed: %d then %d", infos[i-1].Nodes, infos[i].Nodes)
+	if len(nodes) < 2 {
+		t.Fatalf("progress fired %d times, want >= 2", len(nodes))
+	}
+	for i := 1; i < len(nodes); i++ {
+		if nodes[i] < nodes[i-1] {
+			t.Errorf("nodes regressed: %d then %d", nodes[i-1], nodes[i])
+		}
+		if nodes[i]-nodes[i-1] < progressInterval {
+			t.Errorf("progress events %d nodes apart, want >= %d", nodes[i]-nodes[i-1], progressInterval)
 		}
 	}
 }
 
+// pollCtx is a context that reports cancellation from its (after+1)-th
+// Err poll on, so a test can end a solve after a fixed number of
+// ctrl flushes.
+type pollCtx struct {
+	context.Context // cancelable, so Done is non-nil and the solve polls
+	polls, after    int
+}
+
+func (c *pollCtx) Err() error {
+	c.polls++
+	if c.polls > c.after {
+		return context.Canceled
+	}
+	return nil
+}
+
 // TestCancelReturnsBestEffort checks the cooperative abort path: a
-// firing Cancel stops an otherwise multi-million-node search almost
+// canceled context stops an otherwise multi-million-node search almost
 // immediately and still reports an unproven best-effort result.
 func TestCancelReturnsBestEffort(t *testing.T) {
 	p := hardProblem()
 	opts := DefaultOptions()
 	opts.UseLP = false // DFS would run to the 2M oversize budget
-	opts.Cancel = func() bool { return true }
-	res, err := Maximize(p, opts)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	res, err := Maximize(ctx, p, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,9 +231,9 @@ func TestCancelHonoredAcrossBoundsCall(t *testing.T) {
 	p := hardProblem()
 	opts := DefaultOptions()
 	opts.UseLP = false
-	calls := 0
-	opts.Cancel = func() bool { calls++; return calls > 3 }
-	min, max, err := Bounds(p, opts)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	min, max, err := Bounds(&pollCtx{Context: ctx, after: 3}, p, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,13 +251,13 @@ func TestTracingOffIsNoop(t *testing.T) {
 	p := hardProblem()
 	opts := DefaultOptions()
 	opts.MaxNodes = 20_000
-	plain, err := Maximize(p, opts)
+	plain, err := Maximize(context.Background(), p, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	opts.Trace = obs.New(&obs.CollectSink{})
 	opts.Metrics = obs.NewRegistry()
-	traced, err := Maximize(hardProblem(), opts)
+	traced, err := Maximize(context.Background(), hardProblem(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,7 +283,7 @@ func TestMemProbeRecordsAllocations(t *testing.T) {
 	opts := DefaultOptions()
 	opts.MaxNodes = 20_000
 	opts.Metrics = reg
-	res, err := Maximize(p, opts)
+	res, err := Maximize(context.Background(), p, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -300,7 +321,7 @@ func TestMetricsScrapeDuringSolve(t *testing.T) {
 	opts.Metrics = reg
 	done := make(chan error, 1)
 	go func() {
-		_, err := Maximize(hardProblem(), opts)
+		_, err := Maximize(context.Background(), hardProblem(), opts)
 		done <- err
 	}()
 

@@ -24,6 +24,7 @@
 package solver
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"time"
@@ -37,7 +38,7 @@ import (
 // constraints.
 var ErrInfeasible = errors.New("solver: infeasible")
 
-// ErrCanceled is returned when Options.Cancel fired before any
+// ErrCanceled is returned when the solve's context ended before any
 // feasible point was found; when an incumbent exists, cancellation
 // instead returns a best-effort result with Proven=false and
 // Stats.Canceled=true.
@@ -129,29 +130,14 @@ type Options struct {
 
 	// Trace, if non-nil, receives structured span events for every
 	// solver phase (validate, check, prune, presolve, decompose,
-	// search, witness), incumbent events, and periodic progress
-	// events. nil disables tracing at no measurable cost.
+	// search, witness), incumbent events, and a solver.progress event
+	// every 65536 nodes. nil disables tracing at no measurable cost.
 	Trace *obs.Tracer
 	// Metrics, if non-nil, receives live counters: solver.nodes,
 	// solver.lp_solves, solver.propagations, solver.incumbents. They
 	// are updated in flight (within ctrlGranularity nodes), so a
 	// long solve is watchable via expvar.
 	Metrics *obs.Registry
-	// Progress, if non-nil, is called with cumulative work totals
-	// roughly every ProgressInterval nodes. It may be invoked from
-	// worker goroutines when Workers > 1.
-	Progress func(ProgressInfo)
-	// ProgressInterval is the node spacing of Progress callbacks and
-	// progress trace events; 0 means 65536.
-	ProgressInterval int64
-	// Cancel, if non-nil, is polled about every ctrlGranularity
-	// nodes; when it returns true the solve aborts cooperatively and
-	// returns the best incumbent found with Proven=false and
-	// Stats.Canceled=true (or ErrCanceled if no feasible point was
-	// reached). This is the abort path for runaway solves — a
-	// deadline, a context, or a UI stop button can all be expressed
-	// as a Cancel func.
-	Cancel func() bool
 	// Snapshots, if non-nil, receives per-component incumbent/bound
 	// snapshots during the solve, so a supervisor can assemble an
 	// anytime proven interval even when the solve is cancelled before
@@ -168,13 +154,6 @@ type Options struct {
 	// licm-explain/1 reports and workload censuses. nil disables
 	// recording at no cost.
 	Explain *ExplainRecorder
-	// RequestID, when non-empty, names the serving-layer request this
-	// solve belongs to. It is stamped as a request_id attribute on the
-	// solver.solve root span and copied into Stats, so a served
-	// answer's forensics (flight-recorder entry, licmtrace -request
-	// filter) can attribute solver work to the exact HTTP request that
-	// caused it. Purely observational: it never changes the solve.
-	RequestID string
 	// Certify, if non-nil, makes the solve certifying: after the
 	// search, a dedicated certification pass re-derives for every
 	// proven component a machine-checkable proof tree (optimality or
@@ -230,18 +209,13 @@ type Stats struct {
 	WitnessTime  time.Duration
 	TotalTime    time.Duration
 
-	// Canceled reports that Options.Cancel stopped the solve early;
-	// the result is then best-effort (Proven is false).
+	// Canceled reports that the solve's context ended the search
+	// early; the result is then best-effort (Proven is false).
 	Canceled bool
 	// WitnessExhausted reports that witness completion ran out of its
 	// node budget (Options.WitnessBudget): the bounds stand but
 	// Result.Assignment is nil instead of a full world.
 	WitnessExhausted bool
-
-	// RequestID echoes Options.RequestID, tying these stats to the
-	// serving-layer request that triggered the solve (empty outside
-	// the serving path).
-	RequestID string
 
 	// AllocBytes is the process-wide heap allocation (bytes, via
 	// runtime/metrics) observed between solve start and end, and
@@ -344,14 +318,22 @@ func (p *Problem) RunCheck() check.Report {
 }
 
 // Maximize finds the maximum of p.Objective subject to p.Constraints.
-func Maximize(p *Problem, opts Options) (Result, error) {
-	return solve(p, opts, false)
+//
+// ctx bounds the search: it is polled about every 1024
+// branch-and-bound nodes, and once it is done the solve aborts
+// cooperatively, returning the best incumbent found with Proven=false
+// and Stats.Canceled=true (or ErrCanceled when no feasible point was
+// reached). A fault plan attached with faultinject.With reaches the
+// solve's hook sites through ctx as well.
+func Maximize(ctx context.Context, p *Problem, opts Options) (Result, error) {
+	return solve(ctx, p, opts, false)
 }
 
-// Minimize finds the minimum of p.Objective subject to p.Constraints.
-func Minimize(p *Problem, opts Options) (Result, error) {
+// Minimize finds the minimum of p.Objective subject to p.Constraints;
+// ctx is handled as in Maximize.
+func Minimize(ctx context.Context, p *Problem, opts Options) (Result, error) {
 	neg := &Problem{NumVars: p.NumVars, Constraints: p.Constraints, Objective: p.Objective.Neg(), Derived: p.Derived}
-	r, err := solve(neg, opts, true)
+	r, err := solve(ctx, neg, opts, true)
 	if err != nil {
 		return r, err
 	}
@@ -363,11 +345,11 @@ func Minimize(p *Problem, opts Options) (Result, error) {
 // Bounds computes both the minimum and maximum of the objective. This
 // answers the paper's headline question: the exact lower and upper
 // bounds of an aggregate query over all possible worlds.
-func Bounds(p *Problem, opts Options) (min, max Result, err error) {
-	max, err = Maximize(p, opts)
+func Bounds(ctx context.Context, p *Problem, opts Options) (min, max Result, err error) {
+	max, err = Maximize(ctx, p, opts)
 	if err != nil {
 		return
 	}
-	min, err = Minimize(p, opts)
+	min, err = Minimize(ctx, p, opts)
 	return
 }

@@ -1,6 +1,7 @@
 package solver
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -107,8 +108,8 @@ func TestPruneSolveAgreement(t *testing.T) {
 		with := DefaultOptions()
 		without := DefaultOptions()
 		without.Prune = false
-		r1, err1 := Maximize(p, with)
-		r2, err2 := Maximize(p, without)
+		r1, err1 := Maximize(context.Background(), p, with)
+		r2, err2 := Maximize(context.Background(), p, without)
 		if err1 != nil || err2 != nil {
 			t.Fatalf("trial %d: errors %v / %v", trial, err1, err2)
 		}

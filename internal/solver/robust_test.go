@@ -1,12 +1,14 @@
 package solver
 
 import (
+	"context"
 	"errors"
 	"math/rand"
 	"strings"
 	"testing"
 
 	"licm/internal/expr"
+	"licm/internal/faultinject"
 )
 
 // pairCoverProblem is a feasibility-hard gadget: 2k variables, a
@@ -45,8 +47,9 @@ func TestCanceledErrorWrapsComponentContext(t *testing.T) {
 	}
 	opts := DefaultOptions()
 	opts.UseLP = false // the LP hint would gift the dive a feasible point
-	opts.Cancel = func() bool { return true }
-	_, err := Maximize(p, opts)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	_, err := Maximize(ctx, p, opts)
 	if err == nil {
 		t.Fatal("expected an error from a canceled incumbent-less solve")
 	}
@@ -73,7 +76,7 @@ func TestWitnessBudgetExhaustedStat(t *testing.T) {
 	}
 	opts := DefaultOptions()
 	opts.WitnessBudget = 1000
-	res, err := Maximize(p, opts)
+	res, err := Maximize(context.Background(), p, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,33 +124,27 @@ func TestCancelBetweenComponentsKeepsProvenBounds(t *testing.T) {
 	}
 	p := &Problem{NumVars: 3 * k * k, Constraints: cons, Objective: expr.NewLin(0, terms...)}
 
-	exact, err := Maximize(p, DefaultOptions())
+	exact, err := Maximize(context.Background(), p, DefaultOptions())
 	if err != nil || !exact.Proven {
 		t.Fatalf("reference solve: err=%v proven=%v", err, exact.Proven)
 	}
 
 	opts := DefaultOptions()
 	opts.UseLP = false
+	// Component 0 (block 0) is searched first, exactly as when it is
+	// solved alone, so its ctrl-batch hit count is the hit index of
+	// component 1's first flush: cancel there.
+	block0 := &Problem{NumVars: k * k, Constraints: cons[:2*k], Objective: expr.NewLin(0, terms[:k*k]...)}
+	counting := faultinject.With(context.Background(), faultinject.Plan{Site: faultinject.CtrlBatch, Hit: -1})
+	if _, err := Maximize(counting, block0, opts); err != nil {
+		t.Fatal(err)
+	}
+	firstOfComp1 := faultinject.From(counting).Hits(faultinject.CtrlBatch)
 	board := &SnapshotBoard{}
 	opts.Snapshots = board
-	latched := false
-	opts.Cancel = func() bool {
-		if latched {
-			return true
-		}
-		_, comps, ok := board.Components()
-		if !ok {
-			return false
-		}
-		for _, cs := range comps {
-			if cs.Done {
-				latched = true
-				return true
-			}
-		}
-		return false
-	}
-	res, err := Maximize(p, opts)
+	ctx := faultinject.With(context.Background(),
+		faultinject.Plan{Site: faultinject.CtrlBatch, Hit: firstOfComp1, Action: faultinject.Cancel})
+	res, err := Maximize(ctx, p, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,14 +184,14 @@ func TestCancelBetweenComponentsKeepsProvenBounds(t *testing.T) {
 // correct, only the exploration path differs.
 func TestOrderSeedPreservesOptimum(t *testing.T) {
 	p := buildMinCountInstance(40, 5, 11)
-	base, err := Maximize(p, DefaultOptions())
+	base, err := Maximize(context.Background(), p, DefaultOptions())
 	if err != nil || !base.Proven {
 		t.Fatalf("base solve: err=%v proven=%v", err, base.Proven)
 	}
 	for _, seed := range []int64{1, 0x5eedbeef, -77} {
 		opts := DefaultOptions()
 		opts.OrderSeed = seed
-		res, err := Maximize(p, opts)
+		res, err := Maximize(context.Background(), p, opts)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}

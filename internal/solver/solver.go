@@ -1,6 +1,7 @@
 package solver
 
 import (
+	"context"
 	"fmt"
 	"runtime/debug"
 	"sort"
@@ -20,22 +21,17 @@ const defaultWitnessBudget = 500_000
 
 // solve maximizes p.Objective. Minimization is handled by the caller
 // via negation; minimized only labels the trace.
-func solve(p *Problem, opts Options, minimized bool) (res Result, err error) {
+func solve(ctx context.Context, p *Problem, opts Options, minimized bool) (res Result, err error) {
 	start := time.Now()
 	tr := opts.Trace
 	sense := "max"
 	if minimized {
 		sense = "min"
 	}
-	rootAttrs := []obs.Attr{
+	root := tr.Start("solver.solve",
 		obs.Str("sense", sense),
 		obs.Int("vars", p.NumVars),
-		obs.Int("cons", len(p.Constraints)),
-	}
-	if opts.RequestID != "" {
-		rootAttrs = append(rootAttrs, obs.Str("request_id", opts.RequestID))
-	}
-	root := tr.Start("solver.solve", rootAttrs...)
+		obs.Int("cons", len(p.Constraints)))
 	rec := opts.Explain
 	runIdx := -1
 	if rec != nil {
@@ -114,14 +110,13 @@ func solve(p *Problem, opts Options, minimized bool) (res Result, err error) {
 		}
 	}
 
-	kc := newCtrl(opts)
+	kc := newCtrl(ctx, opts)
 	res = Result{
 		Assignment: make([]uint8, p.NumVars),
 		Proven:     true,
 		Stats: Stats{
 			VarsBefore: p.NumVars,
 			ConsBefore: len(p.Constraints),
-			RequestID:  opts.RequestID,
 		},
 	}
 	defer func() {
@@ -212,6 +207,10 @@ func solve(p *Problem, opts Options, minimized bool) (res Result, err error) {
 		free[v] = prop.dom[v] == -1
 	}
 	comps := decompose(p.NumVars, kept, free, inObjective)
+	if !opts.Decompose && len(comps) > 1 {
+		// Decomposition ablation: search everything as one component.
+		comps = []component{mergeComponents(comps)}
+	}
 	res.Stats.Components = len(comps)
 	sp.End(obs.Int("components", len(comps)))
 	if opts.Metrics != nil {
@@ -226,26 +225,15 @@ func solve(p *Problem, opts Options, minimized bool) (res Result, err error) {
 	// strike: base is the constant-plus-presolve value, each
 	// component's initial bound the sum of its positive coefficients.
 	if opts.Snapshots != nil {
-		if !opts.Decompose && len(comps) > 1 {
-			// Merged-ablation path: everything is one slot.
-			var ub int64
-			for _, c := range objCoef {
-				if c > 0 {
-					ub += c
+		ubs := make([]int64, len(comps))
+		for ci, cm := range comps {
+			for _, v := range cm.vars {
+				if c := objCoef[v]; c > 0 {
+					ubs[ci] += c
 				}
 			}
-			opts.Snapshots.register(total, []int64{ub})
-		} else {
-			ubs := make([]int64, len(comps))
-			for ci, cm := range comps {
-				for _, v := range cm.vars {
-					if c := objCoef[v]; c > 0 {
-						ubs[ci] += c
-					}
-				}
-			}
-			opts.Snapshots.register(total, ubs)
 		}
+		opts.Snapshots.register(total, ubs)
 	}
 
 	sp = root.Start("solver.search", obs.Int("components", len(comps)))
@@ -279,63 +267,30 @@ func solve(p *Problem, opts Options, minimized bool) (res Result, err error) {
 		// verifier checks Base + sum(component values) == Value.
 		crec.setBase(certIdx, total)
 	}
-	if opts.Decompose || len(comps) <= 1 {
-		if rec != nil {
-			rec.registerComponents(runIdx, buildExplainComps(comps, lcons, objCoef, prop.dom))
-		}
-		results := solveAll(comps, lcons, objCoef, prop.dom, p.Derived, opts, budget, kc, rec, runIdx)
-		if crec != nil {
-			// Certification is a post-search pass over the projected
-			// matrices and outcomes: it never touches live search state,
-			// so a certifying solve explores exactly the same tree.
-			crec.certify(certIdx, buildExplainComps(comps, lcons, objCoef, prop.dom), results)
-		}
-		for ci, cr := range results {
-			res.Stats.Nodes += cr.nodes
-			res.Stats.LPSolves += cr.lpSolves
-			res.Stats.Propagations += cr.props
-			if !cr.feasible {
-				endSearch()
-				if !cr.proven {
-					return Result{}, budgetErr(ci)
-				}
-				return Result{}, ErrInfeasible
-			}
-			total += cr.best
-			bound += cr.bound
-			if !cr.proven {
-				res.Proven = false
-			}
-			for i, v := range comps[ci].vars {
-				if cr.assign[i] == 1 {
-					res.Assignment[v] = 1
-				}
-			}
-		}
+	// The projected matrices are shared by explain (fingerprints) and
+	// certification (proof trees).
+	var ecomps []ExplainComp
+	if rec != nil || crec != nil {
+		ecomps = buildExplainComps(comps, lcons, objCoef, prop.dom)
 	}
-	if !opts.Decompose && len(comps) > 1 {
-		// Merge all components into a single solve (used by the
-		// decomposition ablation benchmark).
-		merged := mergeComponents(comps)
-		if rec != nil {
-			rec.registerComponents(runIdx, buildExplainComps([]component{merged}, lcons, objCoef, prop.dom))
-		}
-		t0 := explainTimer(rec)
-		cr := solveOneGuarded(0, merged, lcons, objCoef, prop.dom, p.Derived, opts, budget, kc)
-		if rec != nil {
-			rec.recordComp(runIdx, 0, cr, time.Since(t0).Nanoseconds())
-		}
-		if crec != nil {
-			crec.certify(certIdx, buildExplainComps([]component{merged}, lcons, objCoef, prop.dom), []compResult{cr})
-		}
+	if rec != nil {
+		rec.registerComponents(runIdx, ecomps)
+	}
+	results := solveAll(comps, lcons, objCoef, prop.dom, p.Derived, opts, budget, kc, rec, runIdx)
+	if crec != nil {
+		// Certification is a post-search pass over the projected
+		// matrices and outcomes: it never touches live search state,
+		// so a certifying solve explores exactly the same tree.
+		crec.certify(certIdx, ecomps, results, kc.injector())
+	}
+	for ci, cr := range results {
 		res.Stats.Nodes += cr.nodes
 		res.Stats.LPSolves += cr.lpSolves
 		res.Stats.Propagations += cr.props
-		res.Stats.Components = 1
 		if !cr.feasible {
 			endSearch()
 			if !cr.proven {
-				return Result{}, budgetErr(0)
+				return Result{}, budgetErr(ci)
 			}
 			return Result{}, ErrInfeasible
 		}
@@ -344,7 +299,7 @@ func solve(p *Problem, opts Options, minimized bool) (res Result, err error) {
 		if !cr.proven {
 			res.Proven = false
 		}
-		for i, v := range merged.vars {
+		for i, v := range comps[ci].vars {
 			if cr.assign[i] == 1 {
 				res.Assignment[v] = 1
 			}

@@ -1,6 +1,7 @@
 package solver
 
 import (
+	"context"
 	"errors"
 	"math"
 	"math/rand"
@@ -67,7 +68,7 @@ func TestSimpleCardinality(t *testing.T) {
 		},
 		Objective: expr.Sum(0, 1, 2, 3, 4),
 	}
-	min, max, err := Bounds(p, DefaultOptions())
+	min, max, err := Bounds(context.Background(), p, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +93,7 @@ func TestMutualExclusionCoexistenceImplication(t *testing.T) {
 		},
 		Objective: expr.Sum(0, 1, 2, 3),
 	}
-	min, max, err := Bounds(p, DefaultOptions())
+	min, max, err := Bounds(context.Background(), p, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +119,7 @@ func TestPermutation(t *testing.T) {
 		Constraints: cons,
 		Objective:   expr.Sum(idx(0, 0), idx(1, 1), idx(2, 2)),
 	}
-	min, max, err := Bounds(p, DefaultOptions())
+	min, max, err := Bounds(context.Background(), p, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +142,7 @@ func TestLineageANDChain(t *testing.T) {
 		},
 		Objective: expr.Sum(2),
 	}
-	max, err := Maximize(p, DefaultOptions())
+	max, err := Maximize(context.Background(), p, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +160,7 @@ func TestInfeasible(t *testing.T) {
 		},
 		Objective: expr.Sum(0),
 	}
-	_, err := Maximize(p, DefaultOptions())
+	_, err := Maximize(context.Background(), p, DefaultOptions())
 	if !errors.Is(err, ErrInfeasible) {
 		t.Fatalf("err = %v, want ErrInfeasible", err)
 	}
@@ -167,7 +168,7 @@ func TestInfeasible(t *testing.T) {
 
 func TestValidate(t *testing.T) {
 	p := &Problem{NumVars: 1, Objective: expr.Sum(3)}
-	if _, err := Maximize(p, DefaultOptions()); err == nil {
+	if _, err := Maximize(context.Background(), p, DefaultOptions()); err == nil {
 		t.Fatal("expected validation error")
 	}
 	p = &Problem{
@@ -175,7 +176,7 @@ func TestValidate(t *testing.T) {
 		Constraints: []expr.Constraint{expr.NewConstraint(expr.Sum(5), expr.LE, 1)},
 		Objective:   expr.Sum(0),
 	}
-	if _, err := Maximize(p, DefaultOptions()); err == nil {
+	if _, err := Maximize(context.Background(), p, DefaultOptions()); err == nil {
 		t.Fatal("expected validation error")
 	}
 }
@@ -185,7 +186,7 @@ func TestObjectiveConstant(t *testing.T) {
 		NumVars:   2,
 		Objective: expr.Sum(0, 1).AddConst(10),
 	}
-	min, max, err := Bounds(p, DefaultOptions())
+	min, max, err := Bounds(context.Background(), p, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +204,7 @@ func TestNegativeCoefficients(t *testing.T) {
 		},
 		Objective: expr.NewLin(0, expr.Term{Var: 0, Coef: 2}, expr.Term{Var: 1, Coef: -3}),
 	}
-	min, max, err := Bounds(p, DefaultOptions())
+	min, max, err := Bounds(context.Background(), p, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,7 +224,7 @@ func TestPruningStats(t *testing.T) {
 		},
 		Objective: expr.Sum(0, 1, 2),
 	}
-	max, err := Maximize(p, DefaultOptions())
+	max, err := Maximize(context.Background(), p, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,7 +270,7 @@ func TestPruneForwardBaseLink(t *testing.T) {
 	}
 	// And the solve must respect it: b1 forced 1, so b0 <= 0.
 	p := &Problem{NumVars: 2, Constraints: cons, Objective: expr.Sum(0)}
-	max, err := Maximize(p, DefaultOptions())
+	max, err := Maximize(context.Background(), p, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -318,7 +319,7 @@ func TestRandomAgainstBruteForce(t *testing.T) {
 		p := &Problem{NumVars: numVars, Constraints: cons, Objective: obj}
 
 		wantMin, wantMax, feasible := bruteForce(numVars, cons, obj)
-		min, max, err := Bounds(p, DefaultOptions())
+		min, max, err := Bounds(context.Background(), p, DefaultOptions())
 		if !feasible {
 			if !errors.Is(err, ErrInfeasible) {
 				t.Fatalf("trial %d: want infeasible, got err=%v", trial, err)
@@ -361,8 +362,8 @@ func TestRandomLPPathAgainstDFS(t *testing.T) {
 		}
 		obj := randomObjective(r, numVars)
 		p := &Problem{NumVars: numVars, Constraints: cons, Objective: obj}
-		a, errA := Maximize(p, lpOpts)
-		b, errB := Maximize(p, dfsOpts)
+		a, errA := Maximize(context.Background(), p, lpOpts)
+		b, errB := Maximize(context.Background(), p, dfsOpts)
 		if (errA == nil) != (errB == nil) {
 			t.Fatalf("trial %d: LP err=%v, DFS err=%v", trial, errA, errB)
 		}
@@ -388,13 +389,13 @@ func TestRandomNoPruneNoDecompose(t *testing.T) {
 		}
 		obj := randomObjective(r, numVars)
 		p := &Problem{NumVars: numVars, Constraints: cons, Objective: obj}
-		base, errBase := Maximize(p, DefaultOptions())
+		base, errBase := Maximize(context.Background(), p, DefaultOptions())
 		noPrune := DefaultOptions()
 		noPrune.Prune = false
 		noDecomp := DefaultOptions()
 		noDecomp.Decompose = false
-		a, errA := Maximize(p, noPrune)
-		b, errB := Maximize(p, noDecomp)
+		a, errA := Maximize(context.Background(), p, noPrune)
+		b, errB := Maximize(context.Background(), p, noDecomp)
 		if (errBase == nil) != (errA == nil) || (errBase == nil) != (errB == nil) {
 			t.Fatalf("trial %d: err mismatch %v / %v / %v", trial, errBase, errA, errB)
 		}
@@ -434,14 +435,14 @@ func TestBudgetedApproximation(t *testing.T) {
 	obj := expr.NewLin(0, terms...)
 	p := &Problem{NumVars: k * k, Constraints: cons, Objective: obj}
 
-	exact, err := Maximize(p, DefaultOptions())
+	exact, err := Maximize(context.Background(), p, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
 	opts := DefaultOptions()
 	opts.MaxNodes = 3
 	opts.UseLP = false
-	approx, err := Maximize(p, opts)
+	approx, err := Maximize(context.Background(), p, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -465,7 +466,7 @@ func TestLargeIndependentGroups(t *testing.T) {
 		cons = append(cons, expr.NewConstraint(expr.Sum(vs...), expr.GE, 1))
 	}
 	p := &Problem{NumVars: numVars, Constraints: cons, Objective: expr.Sum(all...)}
-	min, max, err := Bounds(p, DefaultOptions())
+	min, max, err := Bounds(context.Background(), p, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -489,7 +490,7 @@ func BenchmarkSolveGroups(b *testing.B) {
 	opts := DefaultOptions()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := Bounds(p, opts); err != nil {
+		if _, _, err := Bounds(context.Background(), p, opts); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -518,7 +519,7 @@ func BenchmarkSolvePermutation8(b *testing.B) {
 	opts := DefaultOptions()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := Bounds(p, opts); err != nil {
+		if _, _, err := Bounds(context.Background(), p, opts); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -540,8 +541,8 @@ func TestParallelWorkersMatchSequential(t *testing.T) {
 		}
 		obj := randomObjective(r, numVars)
 		p := &Problem{NumVars: numVars, Constraints: cons, Objective: obj}
-		a, errA := Maximize(p, seq)
-		b, errB := Maximize(p, par)
+		a, errA := Maximize(context.Background(), p, seq)
+		b, errB := Maximize(context.Background(), p, par)
 		if (errA == nil) != (errB == nil) {
 			t.Fatalf("trial %d: err mismatch %v vs %v", trial, errA, errB)
 		}
@@ -567,7 +568,7 @@ func TestParallelManyGroups(t *testing.T) {
 	p := &Problem{NumVars: 900, Constraints: cons, Objective: expr.Sum(all...)}
 	opts := DefaultOptions()
 	opts.Workers = 8
-	min, max, err := Bounds(p, opts)
+	min, max, err := Bounds(context.Background(), p, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -630,7 +631,7 @@ func buildMinCountInstance(nCustomers, nRegions int, seed int64) *Problem {
 func TestLPGuidedSeedFindsMinimum(t *testing.T) {
 	p := buildMinCountInstance(60, 6, 3)
 	opts := DefaultOptions()
-	min, err := Minimize(p, opts)
+	min, err := Minimize(context.Background(), p, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -650,7 +651,7 @@ func TestLPGuidedSeedFindsMinimum(t *testing.T) {
 	dfsOpts := DefaultOptions()
 	dfsOpts.UseLP = false
 	dfsOpts.OversizeNodes = 5_000_000
-	min2, err := Minimize(p, dfsOpts)
+	min2, err := Minimize(context.Background(), p, dfsOpts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -668,7 +669,7 @@ func TestRootLPBoundCapsResult(t *testing.T) {
 	p := buildMinCountInstance(80, 8, 5)
 	opts := DefaultOptions()
 	opts.MaxNodes = 50 // starve the search
-	max, err := Maximize(p, opts)
+	max, err := Maximize(context.Background(), p, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -699,14 +700,14 @@ func TestWitnessCompletionDetectsInfeasiblePrunedPart(t *testing.T) {
 		},
 		Objective: expr.Sum(0),
 	}
-	if _, err := Maximize(p, DefaultOptions()); !errors.Is(err, ErrInfeasible) {
+	if _, err := Maximize(context.Background(), p, DefaultOptions()); !errors.Is(err, ErrInfeasible) {
 		t.Fatalf("err = %v, want ErrInfeasible", err)
 	}
 	// With witness completion off, the pruned part is (by the paper's
 	// own semantics) ignored.
 	opts := DefaultOptions()
 	opts.CompleteWitness = false
-	max, err := Maximize(p, opts)
+	max, err := Maximize(context.Background(), p, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

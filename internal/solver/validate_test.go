@@ -1,6 +1,7 @@
 package solver
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -134,10 +135,10 @@ func TestValidateTable(t *testing.T) {
 // by the full solve entry points, not just by Validate directly.
 func TestSolveRejectsMalformed(t *testing.T) {
 	p := &Problem{NumVars: -1}
-	if _, err := Maximize(p, DefaultOptions()); err == nil {
+	if _, err := Maximize(context.Background(), p, DefaultOptions()); err == nil {
 		t.Fatal("Maximize accepted a malformed problem")
 	}
-	if _, err := Minimize(p, DefaultOptions()); err == nil {
+	if _, err := Minimize(context.Background(), p, DefaultOptions()); err == nil {
 		t.Fatal("Minimize accepted a malformed problem")
 	}
 }

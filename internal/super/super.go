@@ -71,10 +71,10 @@ func (q Quality) String() string {
 
 // Config controls a supervised solve.
 type Config struct {
-	// Solver holds the base solver options. The supervisor owns Cancel
-	// (merged with the context), Snapshots, and — on retry — OrderSeed;
-	// everything else passes through. Trace/Metrics, when set, also
-	// receive the supervisor's own events and counters (super.*).
+	// Solver holds the base solver options. The supervisor owns
+	// Snapshots and — on retry — OrderSeed; everything else passes
+	// through. Trace/Metrics, when set, also receive the supervisor's
+	// own events and counters (super.*).
 	Solver solver.Options
 	// Sample, if non-nil, is the degraded-mode fallback: it returns the
 	// lowest and highest objective values observed over sampled worlds
@@ -137,24 +137,17 @@ func (o Outcome) Interval() (lo, hi int64) {
 }
 
 // Bounds computes the min and max of p.Objective under supervision:
-// the context's deadline/cancellation bounds the solve, panics are
-// contained (one perturbed retry each), and on any shortfall the
-// result degrades down the ladder instead of erroring out.
+// the context's deadline/cancellation bounds the solve (and any fault
+// plan it carries reaches every attempt), panics are contained (one
+// perturbed retry each), and on any shortfall the result degrades down
+// the ladder instead of erroring out.
 func Bounds(ctx context.Context, p *solver.Problem, cfg Config) Outcome {
 	start := time.Now()
 	tr := cfg.Solver.Trace
 	reg := cfg.Solver.Metrics
-	rootAttrs := []obs.Attr{
+	sp := tr.Start("super.solve",
 		obs.Int("vars", p.NumVars),
-		obs.Int("cons", len(p.Constraints)),
-	}
-	if cfg.Solver.RequestID != "" {
-		// Stamp the serving-layer request id (threaded via
-		// Solver.RequestID) so trace consumers can attribute the whole
-		// supervised solve — ladder events included — to one request.
-		rootAttrs = append(rootAttrs, obs.Str("request_id", cfg.Solver.RequestID))
-	}
-	sp := tr.Start("super.solve", rootAttrs...)
+		obs.Int("cons", len(p.Constraints)))
 	s := &run{ctx: ctx, cfg: cfg, p: p, tr: tr, reg: reg}
 	out := Outcome{}
 	out.Max = s.side(true)
@@ -255,18 +248,6 @@ func (s *run) side(maximize bool) Side {
 // ladder is the degradation ladder proper.
 func (s *run) ladder(name string, maximize bool) Side {
 	opts := s.cfg.Solver
-	userCancel := opts.Cancel
-	opts.Cancel = func() bool {
-		if userCancel != nil && userCancel() {
-			return true
-		}
-		select {
-		case <-s.ctx.Done():
-			return true
-		default:
-			return false
-		}
-	}
 	board := &solver.SnapshotBoard{}
 	opts.Snapshots = board
 
@@ -279,7 +260,7 @@ func (s *run) ladder(name string, maximize bool) Side {
 		// falls straight to the sampled fallback).
 		err = fmt.Errorf("super: %s side skipped: %w", name, s.ctx.Err())
 	} else {
-		res, err, pan = guardedSolve(s.p, opts, maximize)
+		res, err, pan = guardedSolve(s.ctx, s.p, opts, maximize)
 		if pan != nil {
 			s.recordPanic(name, pan)
 			// One retry with a perturbed branching order: a crash tied
@@ -295,7 +276,7 @@ func (s *run) ladder(name string, maximize bool) Side {
 			retryBoard := &solver.SnapshotBoard{}
 			opts.Snapshots = retryBoard
 			var pan2 *solver.CompPanic
-			res, err, pan2 = guardedSolve(s.p, opts, maximize)
+			res, err, pan2 = guardedSolve(s.ctx, s.p, opts, maximize)
 			if pan2 != nil {
 				s.recordPanic(name, pan2)
 				pan = pan2
@@ -418,7 +399,7 @@ func (s *run) warn(msg string, args ...any) {
 // guardedSolve runs one solver call with the panic boundary installed:
 // any panic surfaces as a *solver.CompPanic instead of unwinding the
 // caller.
-func guardedSolve(p *solver.Problem, opts solver.Options, maximize bool) (res solver.Result, err error, pan *solver.CompPanic) {
+func guardedSolve(ctx context.Context, p *solver.Problem, opts solver.Options, maximize bool) (res solver.Result, err error, pan *solver.CompPanic) {
 	defer func() {
 		if r := recover(); r != nil {
 			if cp, ok := r.(*solver.CompPanic); ok {
@@ -429,9 +410,9 @@ func guardedSolve(p *solver.Problem, opts solver.Options, maximize bool) (res so
 		}
 	}()
 	if maximize {
-		res, err = solver.Maximize(p, opts)
+		res, err = solver.Maximize(ctx, p, opts)
 	} else {
-		res, err = solver.Minimize(p, opts)
+		res, err = solver.Minimize(ctx, p, opts)
 	}
 	return res, err, nil
 }

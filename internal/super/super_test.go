@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"log/slog"
 	"math/rand"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -82,7 +84,7 @@ func orCountProblem(nCustomers, nRegions int, seed int64) *solver.Problem {
 // (unsupervised, unfaulted) solver.
 func exactRef(t *testing.T, p *solver.Problem) (int64, int64) {
 	t.Helper()
-	min, max, err := solver.Bounds(p, solver.DefaultOptions())
+	min, max, err := solver.Bounds(context.Background(), p, solver.DefaultOptions())
 	if err != nil {
 		t.Fatalf("reference solve: %v", err)
 	}
@@ -135,7 +137,8 @@ func checkOutcome(t *testing.T, label string, out super.Outcome, refMin, refMax 
 // TestChaosSweep is the harness's centerpiece: inject a fault at every
 // reachable batch boundary (and a sample of LP pivots) of a fixed-seed
 // supervised solve, and require that the supervisor never lets a panic
-// escape and never mislabels a degraded result.
+// escape and never mislabels a degraded result. Each probe carries its
+// own plan on its own context, so the probes run as parallel subtests.
 func TestChaosSweep(t *testing.T) {
 	fixtures := []struct {
 		name string
@@ -151,15 +154,16 @@ func TestChaosSweep(t *testing.T) {
 	for _, fx := range fixtures {
 		refMin, refMax := exactRef(t, fx.p)
 
-		// Counting pass: an armed-but-inert plan records how many times
-		// each site is reached by the full supervised solve.
-		disarm := faultinject.Arm(faultinject.Plan{Site: faultinject.CtrlBatch, Hit: -1, Action: faultinject.None})
-		out := super.Bounds(context.Background(), fx.p, chaosConfig())
+		// Counting pass: an inert plan records how many times each site
+		// is reached by the full supervised solve.
+		counting := faultinject.With(context.Background(),
+			faultinject.Plan{Site: faultinject.CtrlBatch, Hit: -1, Action: faultinject.None})
+		out := super.Bounds(counting, fx.p, chaosConfig())
+		inj := faultinject.From(counting)
 		hits := map[faultinject.Site]int64{
-			faultinject.CtrlBatch: faultinject.Hits(faultinject.CtrlBatch),
-			faultinject.LPPivot:   faultinject.Hits(faultinject.LPPivot),
+			faultinject.CtrlBatch: inj.Hits(faultinject.CtrlBatch),
+			faultinject.LPPivot:   inj.Hits(faultinject.LPPivot),
 		}
-		disarm()
 		if out.Quality != super.Exact {
 			t.Fatalf("%s: unfaulted supervised solve quality = %v, want Exact", fx.name, out.Quality)
 		}
@@ -180,14 +184,17 @@ func TestChaosSweep(t *testing.T) {
 			}
 			for _, action := range actions {
 				for h := int64(0); h < n; h += step {
-					disarm := faultinject.Arm(faultinject.Plan{Site: site, Hit: h, Action: action})
-					out := super.Bounds(context.Background(), fx.p, chaosConfig())
-					disarm()
-					label := fx.name + "/" + site.String() + "/" + action.String()
-					checkOutcome(t, label, out, refMin, refMax)
-					if action == faultinject.Panic && out.PanicsRecovered == 0 {
-						t.Errorf("%s hit %d: injected panic was not recorded as recovered", label, h)
-					}
+					label := fmt.Sprintf("%s/%s/%s/%d", fx.name, site, action, h)
+					t.Run(label, func(t *testing.T) {
+						t.Parallel()
+						ctx := faultinject.With(context.Background(),
+							faultinject.Plan{Site: site, Hit: h, Action: action})
+						out := super.Bounds(ctx, fx.p, chaosConfig())
+						checkOutcome(t, label, out, refMin, refMax)
+						if action == faultinject.Panic && out.PanicsRecovered == 0 {
+							t.Errorf("%s: injected panic was not recorded as recovered", label)
+						}
+					})
 				}
 			}
 		}
@@ -241,9 +248,7 @@ func TestDeadlineMidSolve(t *testing.T) {
 func TestRetryAfterPanicReachesExact(t *testing.T) {
 	p := groupsProblem(12)
 	refMin, refMax := exactRef(t, p)
-	disarm := faultinject.Arm(faultinject.Plan{Site: faultinject.CtrlBatch, Hit: 0, Action: faultinject.Panic})
-	out := super.Bounds(context.Background(), p, chaosConfig())
-	disarm()
+	out := super.Bounds(panicAtFirstBatch(), p, chaosConfig())
 	if out.Quality != super.Exact {
 		t.Fatalf("quality = %v, want Exact after retry", out.Quality)
 	}
@@ -251,6 +256,48 @@ func TestRetryAfterPanicReachesExact(t *testing.T) {
 		t.Fatalf("retries=%d panics=%d, want 1/1", out.Retries, out.PanicsRecovered)
 	}
 	checkOutcome(t, "retry", out, refMin, refMax)
+}
+
+// panicAtFirstBatch returns a context whose plan panics at the first
+// ctrl batch boundary.
+func panicAtFirstBatch() context.Context {
+	return faultinject.With(context.Background(),
+		faultinject.Plan{Site: faultinject.CtrlBatch, Hit: 0, Action: faultinject.Panic})
+}
+
+// TestFaultPlanIsolation: a fault plan reaches only the solves run
+// under the context it rides. Faulted and plain supervised solves run
+// at the same time; every plain one must come back Exact and untouched,
+// and every faulted one must recover exactly its own panic.
+func TestFaultPlanIsolation(t *testing.T) {
+	p := groupsProblem(12)
+	refMin, refMax := exactRef(t, p)
+	// A cancelable context gives the plain solves live ctrl flushes, so
+	// they pass the same hook sites as the faulted ones.
+	plainCtx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	const pairs = 8
+	plain := make([]super.Outcome, pairs)
+	faulted := make([]super.Outcome, pairs)
+	var wg sync.WaitGroup
+	for i := 0; i < pairs; i++ {
+		wg.Add(2)
+		go func() { defer wg.Done(); faulted[i] = super.Bounds(panicAtFirstBatch(), p, chaosConfig()) }()
+		go func() { defer wg.Done(); plain[i] = super.Bounds(plainCtx, p, chaosConfig()) }()
+	}
+	wg.Wait()
+	for i := 0; i < pairs; i++ {
+		if out := plain[i]; out.Quality != super.Exact || out.PanicsRecovered != 0 || out.Retries != 0 {
+			t.Errorf("plain solve %d: quality=%v panics=%d retries=%d, want exact/0/0",
+				i, out.Quality, out.PanicsRecovered, out.Retries)
+		}
+		if out := faulted[i]; out.Quality != super.Exact || out.PanicsRecovered != 1 {
+			t.Errorf("faulted solve %d: quality=%v panics=%d, want exact/1",
+				i, out.Quality, out.PanicsRecovered)
+		}
+		checkOutcome(t, fmt.Sprintf("plain %d", i), plain[i], refMin, refMax)
+		checkOutcome(t, fmt.Sprintf("faulted %d", i), faulted[i], refMin, refMax)
+	}
 }
 
 // TestInfeasibleIsExact: proven infeasibility is a fact, not a
@@ -312,9 +359,7 @@ func TestSupervisorWarnLogging(t *testing.T) {
 
 	// Panic recovery: one injected panic is absorbed, retried, and logged.
 	buf.Reset()
-	disarm := faultinject.Arm(faultinject.Plan{Site: faultinject.CtrlBatch, Hit: 0, Action: faultinject.Panic})
-	out := super.Bounds(context.Background(), groupsProblem(12), cfg)
-	disarm()
+	out := super.Bounds(panicAtFirstBatch(), groupsProblem(12), cfg)
 	if out.PanicsRecovered != 1 {
 		t.Fatalf("panics recovered = %d, want 1", out.PanicsRecovered)
 	}

@@ -2,6 +2,7 @@ package tracean_test
 
 import (
 	"bytes"
+	"context"
 	"testing"
 	"time"
 
@@ -53,7 +54,7 @@ func TestLiveSolveRoundTrip(t *testing.T) {
 	opts.MaxNodes = 50_000
 	opts.Trace = obs.New(sink)
 	opts.Metrics = reg
-	res, err := solver.Maximize(liveProblem(), opts)
+	res, err := solver.Maximize(context.Background(), liveProblem(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -352,7 +352,6 @@ func (cfg Config) groundTruth(newEnc func() *encode.Encoded, sp Spec, rec *Recor
 	rec.GtSource = "mc"
 	if cfg.ExactRefMaxVars > 0 && encRef.DB.NumVars() <= cfg.ExactRefMaxVars {
 		refOpts := cfg.Solver
-		refOpts.Cancel = nil
 		refOpts.Explain = nil
 		refOpts.Certify = nil
 		refOpts.Snapshots = nil
