@@ -133,15 +133,11 @@ func BoundsContext(ctx context.Context, db *DB, objective expr.Lin, opts solver.
 // solve supervisor (internal/super) builds the problem once and then
 // owns retries and degradation.
 func BuildProblem(db *DB, objective expr.Lin) *solver.Problem {
-	derived := make([]bool, db.NumVars())
-	for v := range derived {
-		derived[v] = db.Def(expr.Var(v)).Kind != DefBase
-	}
 	return &solver.Problem{
 		NumVars:     db.NumVars(),
 		Constraints: db.Constraints(),
 		Objective:   objective,
-		Derived:     derived,
+		Derived:     db.derivedFlags(),
 	}
 }
 

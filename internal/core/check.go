@@ -15,13 +15,9 @@ import (
 // time); to vet a full instance, project the store into a
 // solver.Problem and use Options.Check or Problem.RunCheck.
 func (db *DB) Check() check.Report {
-	derived := make([]bool, len(db.defs))
-	for v, d := range db.defs {
-		derived[v] = d.Kind != DefBase
-	}
 	return check.Check(check.Store{
-		NumVars:     len(db.defs),
+		NumVars:     db.NumVars(),
 		Constraints: db.cons,
-		Derived:     derived,
+		Derived:     db.derivedFlags(),
 	})
 }

@@ -71,8 +71,14 @@ type Def struct {
 // derived variable. Relations reference it; all operators that create
 // lineage variables take the DB they should record into.
 type DB struct {
-	defs []Def
-	cons []expr.Constraint
+	// base holds the definitions a fork shares with the DB it was
+	// forked from, as that DB's segments: read in place, never
+	// written. defs holds the DB's own definitions, numbered from
+	// nbase, the number of definitions in base.
+	base  [][]Def
+	nbase int
+	defs  []Def
+	cons  []expr.Constraint
 	// tr, when set, receives an "op.<name>" span for every operator
 	// call recording lineage into this DB.
 	tr *obs.Tracer
@@ -80,6 +86,36 @@ type DB struct {
 
 // NewDB returns an empty LICM database.
 func NewDB() *DB { return &DB{} }
+
+// Fork returns a DB that reads db's variables and constraints in place
+// and records its own after them: its first new variable is numbered
+// db.NumVars(), and nothing it adds is visible to db or to another fork
+// of db. A fork copies no definition; its first added constraint copies
+// the constraint slice, which the solver needs contiguous. Fork only
+// reads db, so any number of goroutines may fork one DB that nothing
+// writes and use their forks concurrently. The fork starts with db's
+// tracer.
+func (db *DB) Fork() *DB {
+	n := len(db.cons)
+	return &DB{base: db.segments(), nbase: db.NumVars(), cons: db.cons[:n:n], tr: db.tr}
+}
+
+// segments returns the definitions in id order: the shared base
+// segments, then the DB's own.
+func (db *DB) segments() [][]Def {
+	return append(db.base[:len(db.base):len(db.base)], db.defs)
+}
+
+// derivedFlags marks each variable whose value a definition determines.
+func (db *DB) derivedFlags() []bool {
+	derived := make([]bool, 0, db.NumVars())
+	for _, seg := range db.segments() {
+		for _, d := range seg {
+			derived = append(derived, d.Kind != DefBase)
+		}
+	}
+	return derived
+}
 
 // SetTracer attaches a tracer; operators on this DB then emit
 // per-operator spans with input/output tuple counts and the number of
@@ -96,7 +132,7 @@ func (db *DB) Tracer() *obs.Tracer {
 }
 
 // NumVars returns the number of variables allocated so far.
-func (db *DB) NumVars() int { return len(db.defs) }
+func (db *DB) NumVars() int { return db.nbase + len(db.defs) }
 
 // NumConstraints returns the number of constraints in the store.
 func (db *DB) NumConstraints() int { return len(db.cons) }
@@ -106,12 +142,21 @@ func (db *DB) NumConstraints() int { return len(db.cons) }
 func (db *DB) Constraints() []expr.Constraint { return db.cons }
 
 // Def returns the definition of variable v.
-func (db *DB) Def(v expr.Var) Def { return db.defs[v] }
+func (db *DB) Def(v expr.Var) Def {
+	i := int(v)
+	for _, seg := range db.base {
+		if i < len(seg) {
+			return seg[i]
+		}
+		i -= len(seg)
+	}
+	return db.defs[i]
+}
 
 // NewVar allocates a fresh base (input-uncertainty) variable.
 func (db *DB) NewVar() expr.Var {
 	db.defs = append(db.defs, Def{Kind: DefBase})
-	return expr.Var(len(db.defs) - 1)
+	return expr.Var(db.NumVars() - 1)
 }
 
 // NewVars allocates n fresh base variables and returns them.
@@ -167,7 +212,7 @@ func (db *DB) AddExactlyOne(vars []expr.Var) {
 // newDerived allocates a derived variable, records its definition, and
 // emits the linear constraints tying it to its arguments.
 func (db *DB) newDerived(d Def) expr.Var {
-	b := expr.Var(len(db.defs))
+	b := expr.Var(db.NumVars())
 	for _, a := range d.Args {
 		if a >= b {
 			panic(fmt.Sprintf("core: derived b%d references later variable b%d", b, a))
@@ -255,44 +300,49 @@ func (db *DB) Or(exts ...Ext) Ext {
 // must have length NumVars; entries for base variables are inputs,
 // entries for derived variables are overwritten.
 func (db *DB) Extend(assign []uint8) {
-	for v, d := range db.defs {
-		switch d.Kind {
-		case DefBase:
-			// input
-		case DefAnd:
-			val := uint8(1)
-			for _, a := range d.Args {
-				if assign[a] == 0 {
-					val = 0
-					break
+	off := 0
+	for _, seg := range db.segments() {
+		for i, d := range seg {
+			v := off + i
+			switch d.Kind {
+			case DefBase:
+				// input
+			case DefAnd:
+				val := uint8(1)
+				for _, a := range d.Args {
+					if assign[a] == 0 {
+						val = 0
+						break
+					}
 				}
-			}
-			assign[v] = val
-		case DefOr:
-			val := uint8(0)
-			for _, a := range d.Args {
-				if assign[a] == 1 {
+				assign[v] = val
+			case DefOr:
+				val := uint8(0)
+				for _, a := range d.Args {
+					if assign[a] == 1 {
+						val = 1
+						break
+					}
+				}
+				assign[v] = val
+			case DefCountLE, DefCountGE:
+				cnt := d.N
+				for _, a := range d.Args {
+					if assign[a] == 1 {
+						cnt++
+					}
+				}
+				val := uint8(0)
+				if d.Kind == DefCountLE && cnt <= d.D {
 					val = 1
-					break
 				}
-			}
-			assign[v] = val
-		case DefCountLE, DefCountGE:
-			cnt := d.N
-			for _, a := range d.Args {
-				if assign[a] == 1 {
-					cnt++
+				if d.Kind == DefCountGE && cnt >= d.D {
+					val = 1
 				}
+				assign[v] = val
 			}
-			val := uint8(0)
-			if d.Kind == DefCountLE && cnt <= d.D {
-				val = 1
-			}
-			if d.Kind == DefCountGE && cnt >= d.D {
-				val = 1
-			}
-			assign[v] = val
 		}
+		off += len(seg)
 	}
 }
 
@@ -311,8 +361,8 @@ func (db *DB) Valid(assign []uint8) bool {
 // BaseVars returns the ids of all base variables.
 func (db *DB) BaseVars() []expr.Var {
 	var vs []expr.Var
-	for v, d := range db.defs {
-		if d.Kind == DefBase {
+	for v, derived := range db.derivedFlags() {
+		if !derived {
 			vs = append(vs, expr.Var(v))
 		}
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"testing"
 
 	"licm/internal/expr"
@@ -407,4 +408,116 @@ func TestDeterministicExtensionInvalidBase(t *testing.T) {
 	if !db.DeterministicExtension(map[expr.Var]uint8{v: 0}) {
 		t.Error("invalid base should be vacuously deterministic")
 	}
+}
+
+// forkSteps grow a store in stages: a base encoding, then the lineage
+// of two queries built on top of it. Each returns the first variable
+// it creates. The base leaves spare capacity in both the definition
+// and the constraint slice, so a fork appending into its parent's
+// backing arrays would overwrite what a sibling fork reads.
+var forkSteps = []func(db *DB) expr.Var{
+	func(db *DB) expr.Var {
+		vs := db.NewVars(3)
+		db.AddCardinality(vs, 1, 2)
+		db.And(Maybe(vs[0]), Maybe(vs[1]))
+		db.Or(Maybe(vs[1]), Maybe(vs[2]))
+		db.AddImplies(vs[0], vs[2])
+		return vs[0]
+	},
+	func(db *DB) expr.Var {
+		or := db.Or(Maybe(0), Maybe(2)).Var()
+		db.newDerived(Def{Kind: DefCountGE, Args: []expr.Var{0, 1, 2}, D: 2})
+		return or
+	},
+	func(db *DB) expr.Var {
+		x := db.NewVar()
+		db.AddImplies(x, 1)
+		db.And(Maybe(x), Maybe(3))
+		return x
+	},
+}
+
+// flatDB builds the store of the given forkSteps in one DB, unforked.
+func flatDB(steps ...int) *DB {
+	db := NewDB()
+	for _, s := range steps {
+		forkSteps[s](db)
+	}
+	return db
+}
+
+// sameDB checks that got behaves as want on every accessor, and on
+// every assignment of the base variables.
+func sameDB(t *testing.T, name string, got, want *DB) {
+	t.Helper()
+	if got.NumVars() != want.NumVars() || got.NumConstraints() != want.NumConstraints() {
+		t.Fatalf("%s: %d vars, %d constraints; flat store has %d, %d", name,
+			got.NumVars(), got.NumConstraints(), want.NumVars(), want.NumConstraints())
+	}
+	for v := 0; v < want.NumVars(); v++ {
+		if g, w := got.Def(expr.Var(v)), want.Def(expr.Var(v)); !reflect.DeepEqual(g, w) {
+			t.Errorf("%s: Def(b%d) = %+v, flat store has %+v", name, v, g, w)
+		}
+	}
+	if !reflect.DeepEqual(got.Constraints(), want.Constraints()) {
+		t.Errorf("%s: constraints differ from the flat store", name)
+	}
+	if g, w := got.BaseVars(), want.BaseVars(); !reflect.DeepEqual(g, w) {
+		t.Fatalf("%s: BaseVars = %v, flat store has %v", name, g, w)
+	}
+	if g, w := got.Check(), want.Check(); !reflect.DeepEqual(g, w) {
+		t.Errorf("%s: Check = %+v, flat store has %+v", name, g, w)
+	}
+	base := want.BaseVars()
+	for mask := 0; mask < 1<<len(base); mask++ {
+		assign := map[expr.Var]uint8{}
+		for i, v := range base {
+			assign[v] = uint8(mask >> i & 1)
+		}
+		g, w := got.World(assign), want.World(assign)
+		if !reflect.DeepEqual(g, w) {
+			t.Errorf("%s: mask %d: World = %v, flat store has %v", name, mask, g, w)
+		}
+		full := make([]uint8, want.NumVars())
+		for v, val := range assign {
+			full[v] = val
+		}
+		got.Extend(full)
+		if !reflect.DeepEqual(full, w) {
+			t.Errorf("%s: mask %d: Extend = %v, flat store has %v", name, mask, full, w)
+		}
+		if got.Valid(w) != want.Valid(w) {
+			t.Errorf("%s: mask %d: Valid = %v, flat store says %v", name, mask, got.Valid(w), want.Valid(w))
+		}
+		if got.DeterministicExtension(assign) != want.DeterministicExtension(assign) {
+			t.Errorf("%s: mask %d: DeterministicExtension differs from the flat store", name, mask)
+		}
+	}
+}
+
+func TestForkIsolation(t *testing.T) {
+	parent := flatDB(0)
+	n, m := parent.NumVars(), parent.NumConstraints()
+	cons := append([]expr.Constraint(nil), parent.Constraints()...)
+
+	f1, f2 := parent.Fork(), parent.Fork()
+	if v := forkSteps[1](f1); v != expr.Var(n) {
+		t.Errorf("first fork's first variable is b%d, want b%d", v, n)
+	}
+	if v := forkSteps[2](f2); v != expr.Var(n) {
+		t.Errorf("second fork's first variable is b%d, want b%d", v, n)
+	}
+	f12 := f1.Fork()
+	if v := forkSteps[2](f12); v != expr.Var(f1.NumVars()) {
+		t.Errorf("fork of a fork's first variable is b%d, want b%d", v, f1.NumVars())
+	}
+
+	if parent.NumVars() != n || parent.NumConstraints() != m || !reflect.DeepEqual(parent.Constraints(), cons) {
+		t.Errorf("parent changed: %d vars, %d constraints; forked at %d, %d",
+			parent.NumVars(), parent.NumConstraints(), n, m)
+	}
+	sameDB(t, "parent", parent, flatDB(0))
+	sameDB(t, "first fork", f1, flatDB(0, 1))
+	sameDB(t, "second fork", f2, flatDB(0, 2))
+	sameDB(t, "fork of the first fork", f12, flatDB(0, 1, 2))
 }

@@ -164,15 +164,11 @@ func feasible(db *DB, opts solver.Options, extra ...expr.Constraint) bool {
 	cons := make([]expr.Constraint, 0, db.NumConstraints()+len(extra))
 	cons = append(cons, db.Constraints()...)
 	cons = append(cons, extra...)
-	derived := make([]bool, db.NumVars())
-	for v := range derived {
-		derived[v] = db.Def(expr.Var(v)).Kind != DefBase
-	}
 	p := &solver.Problem{
 		NumVars:     db.NumVars(),
 		Constraints: cons,
 		Objective:   expr.Lin{},
-		Derived:     derived,
+		Derived:     db.derivedFlags(),
 	}
 	// A zero objective turns the solve into pure feasibility. Pruning
 	// would discard everything (the objective reaches nothing), so

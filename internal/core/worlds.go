@@ -73,8 +73,8 @@ func (db *DB) DeterministicExtension(base map[expr.Var]uint8) bool {
 		return true
 	}
 	derived := make([]expr.Var, 0)
-	for v := range db.defs {
-		if db.defs[v].Kind != DefBase {
+	for v, isDerived := range db.derivedFlags() {
+		if isDerived {
 			derived = append(derived, expr.Var(v))
 		}
 	}

@@ -69,6 +69,18 @@ type Encoded struct {
 	Groups []Group
 }
 
+// Fork returns an encoding that shares enc's relations and sampling
+// groups and records into a fork of its DB (core.DB.Fork), so a query
+// can grow its own store on top of one frozen base encoding. Query
+// operators only read relations and only the encoders append groups,
+// so forks of one encoding that nothing writes may be used
+// concurrently.
+func (enc *Encoded) Fork() *Encoded {
+	f := *enc
+	f.DB = enc.DB.Fork()
+	return &f
+}
+
 // itemsRelation builds the certain catalog relation.
 func itemsRelation(items []dataset.Item) *core.Relation {
 	r := core.NewRelation("Item", "Item", "Price")

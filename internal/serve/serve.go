@@ -175,9 +175,10 @@ type Server struct {
 	debug *obs.DebugServer
 }
 
-// New builds the server: it generates and anonymizes the store once
-// (failing fast on bad parameters), warms one encoding to validate the
-// factory, and starts the worker pool.
+// New builds the server: it generates, anonymizes and encodes the
+// store once (failing fast on bad parameters), reads the store's size
+// from one fork of it, and starts the worker pool. Every request
+// builds its query on its own fork of that base encoding.
 func New(cfg Config) (*Server, error) {
 	cfg = cfg.normalized()
 	if cfg.Workload.MCSamples < 1 {

@@ -14,32 +14,49 @@ import (
 // TestBoundsConcurrentSharedStore is the serving-path concurrency
 // contract, run under the chaos CI job's -race build: many goroutines
 // answer queries through super.Bounds against one shared encoded
-// store, the way the licmd worker pool does. Two properties are
-// pinned:
+// store, the way the licmd worker pool does, on every anonymization
+// scheme. Two properties are pinned:
 //
-//   - No data race: queries grow the store they encode against, so
-//     each goroutine builds its own encoding from the shared
-//     anonymized data (workload.Config.Encoder), and the solver treats
-//     the built problem as read-only.
+//   - No data race: the store is encoded once and frozen; each
+//     goroutine grows its own fork of it (workload.Config.Encoder),
+//     reading the shared definitions, constraints and relations in
+//     place — the bipartite scheme builds TransItem through joins over
+//     the shared group relations — and the solver treats the built
+//     problem as read-only.
 //   - Determinism under concurrency: every goroutine solving the same
 //     spec must produce the identical outcome — scheduling must never
 //     leak into proven figures.
 func TestBoundsConcurrentSharedStore(t *testing.T) {
-	opts := solver.DefaultOptions()
-	opts.CompleteWitness = false
-	cfg := workload.Config{
-		NumTransactions: 80,
-		NumItems:        30,
-		Scheme:          "k",
-		K:               4,
-		Seed:            3,
-		Solver:          opts,
+	// The bipartite store is smaller and coarser so its joins and
+	// solves stay quick under -race; suppression needs a high support
+	// threshold to hide items on 80 transactions.
+	for _, sc := range []struct {
+		scheme   string
+		trans, k int
+	}{{"km", 80, 4}, {"k", 80, 4}, {"bipartite", 30, 2}, {"suppress", 80, 12}} {
+		t.Run(sc.scheme, func(t *testing.T) {
+			boundsConcurrentSharedStore(t, workload.Config{
+				NumTransactions: sc.trans,
+				NumItems:        30,
+				Scheme:          sc.scheme,
+				K:               sc.k,
+				Seed:            3,
+			})
+		})
 	}
+}
+
+func boundsConcurrentSharedStore(t *testing.T, cfg workload.Config) {
 	newEnc, err := cfg.Encoder()
 	if err != nil {
 		t.Fatalf("Encoder: %v", err)
 	}
 	specs := workload.GenerateSpecs(3, 11, 1000, 40)
+	// A node budget ends the one bipartite spec the search cannot close
+	// quickly at a proven interval; a budget-limited answer is as
+	// deterministic as an exact one.
+	scfg := chaosConfig()
+	scfg.Solver.MaxNodes = 300
 
 	const workers = 8
 	type result struct {
@@ -64,7 +81,7 @@ func TestBoundsConcurrentSharedStore(t *testing.T) {
 					return
 				}
 				out := super.Bounds(context.Background(),
-					core.BuildProblem(enc.DB, obj), chaosConfig())
+					core.BuildProblem(enc.DB, obj), scfg)
 				lo, hi := out.Interval()
 				results[si][w] = result{out.Quality, lo, hi, out.Infeasible}
 			}

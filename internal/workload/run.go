@@ -73,10 +73,10 @@ type Config struct {
 	// Answer, if non-nil, replaces the local supervised solve as the
 	// measured answer source — the licmd client behind licmload
 	// -target. Ground truth, containment checks and tightness scoring
-	// still run locally against a fresh encoding, so the run gates a
-	// remote server's answers with the same rigor as in-process
-	// solves. The dataset parameters above must match the server's
-	// store for the scoring to be sound.
+	// still run locally against a fork of the same store, so the run
+	// gates a remote server's answers with the same rigor as
+	// in-process solves. The dataset parameters above must match the
+	// server's store for the scoring to be sound.
 	Answer func(Spec) (*Answer, error)
 }
 
@@ -139,14 +139,15 @@ func (cfg Config) Normalized() Config {
 	return cfg
 }
 
-// Encoder generates the dataset and anonymizes it once, returning a
-// factory that encodes a fresh constraint store per call. Queries
-// grow the store they run against (BuildLICM adds auxiliary variables
-// and constraints), so every query needs its own encoding; the
-// anonymization, which queries never touch, is shared. The factory is
-// safe for concurrent use: it only reads the shared anonymized data,
-// which is how the licmd worker pool answers many queries against one
-// loaded store at once.
+// Encoder generates the dataset, anonymizes it and encodes the base
+// store once, returning a factory whose every call forks that base
+// (encode.Encoded.Fork). Queries grow the store they run against
+// (BuildLICM adds auxiliary variables and constraints); each grows its
+// own fork, which reads the base in place and leaves it untouched, so
+// the L-model is built once per store and each query pays only for
+// what it adds. The factory is safe for concurrent use: the base is
+// frozen once built, which is how the licmd worker pool answers many
+// queries against one loaded store at once.
 func (cfg Config) Encoder() (func() *encode.Encoded, error) {
 	cfg = cfg.Normalized()
 	dcfg := dataset.DefaultConfig(cfg.NumTransactions)
@@ -156,6 +157,7 @@ func (cfg Config) Encoder() (func() *encode.Encoded, error) {
 	if err != nil {
 		return nil, err
 	}
+	var base *encode.Encoded
 	switch cfg.Scheme {
 	case "km", "k":
 		h, err := hierarchy.Build(cfg.NumItems, cfg.HierarchyFanout, nil)
@@ -171,22 +173,23 @@ func (cfg Config) Encoder() (func() *encode.Encoded, error) {
 		if err != nil {
 			return nil, err
 		}
-		return func() *encode.Encoded { return encode.Generalized(g, d.Items) }, nil
+		base = encode.Generalized(g, d.Items)
 	case "bipartite":
 		bg, err := anon.BipartiteAnonymize(d, cfg.K, cfg.K)
 		if err != nil {
 			return nil, err
 		}
-		return func() *encode.Encoded { return encode.Bipartite(d, bg) }, nil
+		base = encode.Bipartite(d, bg)
 	case "suppress":
 		s, err := anon.SuppressAnonymize(d, cfg.K)
 		if err != nil {
 			return nil, err
 		}
-		return func() *encode.Encoded { return encode.Suppressed(s, d.Items) }, nil
+		base = encode.Suppressed(s, d.Items)
 	default:
 		return nil, fmt.Errorf("workload: unknown scheme %q", cfg.Scheme)
 	}
+	return base.Fork, nil
 }
 
 // Execute runs every spec through the supervised solver and scores
@@ -269,9 +272,9 @@ func (cfg Config) remoteAnswer(sp Spec, rec *Record) error {
 	return nil
 }
 
-// localAnswer runs the measured supervised solve: fresh encoding,
-// per-query deadline, explain recorder for fingerprint attribution,
-// sampled fallback at the bottom of the ladder.
+// localAnswer runs the measured supervised solve: its own fork of the
+// base store, per-query deadline, explain recorder for fingerprint
+// attribution, sampled fallback at the bottom of the ladder.
 func (cfg Config) localAnswer(newEnc func() *encode.Encoded, sp Spec, rec *Record, census *explain.Census) error {
 	enc := newEnc()
 	enc.DB.SetTracer(cfg.Trace)
@@ -331,9 +334,10 @@ func (cfg Config) localAnswer(newEnc func() *encode.Encoded, sp Spec, rec *Recor
 	return nil
 }
 
-// groundTruth establishes the reference answer range on a second,
-// untouched encoding (the measured solve's store has been pruned and
-// extended), cross-checks containment, and scores tightness.
+// groundTruth establishes the reference answer range on a second fork
+// of the base store (the measured query grew its own fork, which the
+// reference must not build on), cross-checks containment, and scores
+// tightness.
 func (cfg Config) groundTruth(newEnc func() *encode.Encoded, sp Spec, rec *Record) {
 	encRef := newEnc()
 	objRef, evalRef, err := sp.Build(encRef)

@@ -206,8 +206,9 @@ func ReadSpecs(r io.Reader) ([]Spec, error) {
 	return out, nil
 }
 
-// Build translates the spec over a fresh encoding, growing its
-// constraint store, and returns the aggregate objective plus the
+// Build translates the spec over enc, growing its constraint store
+// (so each query builds on its own fork of the base encoding, as
+// Config.Encoder hands out), and returns the aggregate objective plus the
 // deterministic per-world evaluator used for independent ground-truth
 // cross-checks (the role the paper's SQL Server plays for MC).
 func (s Spec) Build(enc *encode.Encoded) (expr.Lin, func(*queries.World) int64, error) {
