@@ -209,15 +209,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 		ctx, cancel = context.WithTimeout(ctx, *timeLimit)
 		defer cancel()
 	}
+	// Explain reports and certificates both read the solve's record.
+	wantExplain := *explainFlag || *explainJSON != ""
 	var rec *solver.ExplainRecorder
-	if *explainFlag || *explainJSON != "" {
+	if wantExplain || *certifyOut != "" {
 		rec = &solver.ExplainRecorder{}
 		opts.Explain = rec
-	}
-	var crec *solver.CertRecorder
-	if *certifyOut != "" {
-		crec = &solver.CertRecorder{}
-		opts.Certify = crec
 	}
 
 	exitCode := 0
@@ -279,7 +276,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 
-	if rec != nil {
+	if wantExplain {
 		rep := explain.Build(q.Name(), rec)
 		rep.Scheme = *scheme
 		rep.K = *k
@@ -307,8 +304,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 			}
 		}
 	}
-	if crec != nil {
-		certs, err := cert.Build(q.Name(), *scheme, *k, crec)
+	if *certifyOut != "" {
+		// Certification is a pass over the record after the solve, so
+		// its time is not part of L-solve.
+		certs, err := cert.Build(q.Name(), *scheme, *k, solver.Certify(ctx, rec))
 		if err != nil {
 			return fail(err)
 		}

@@ -34,17 +34,17 @@ func liveCerts(t *testing.T, cripple bool) []byte {
 			expr.NewConstraint(expr.Sum(lo, lo+1), expr.GE, 1))
 	}
 	p := &solver.Problem{NumVars: n, Constraints: cons, Objective: obj}
-	crec := &solver.CertRecorder{}
+	rec := &solver.ExplainRecorder{}
 	opts := solver.DefaultOptions()
 	if cripple {
 		opts.UseLP = false
 		opts.MaxNodes = 20
 	}
-	opts.Certify = crec
+	opts.Explain = rec
 	if _, _, err := solver.Bounds(context.Background(), p, opts); err != nil && !cripple {
 		t.Fatal(err)
 	}
-	certs, err := cert.Build("q1", "row", 2, crec)
+	certs, err := cert.Build("q1", "row", 2, solver.Certify(context.Background(), rec))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -99,8 +99,9 @@ type Config struct {
 	// attached — its overhead is a few small allocations per solve).
 	Explain bool
 	// Certify attaches licm-cert/1 optimality certificates to every
-	// cell (Cell.Certs) by running the solver's certifying post-pass;
-	// feed them to licmverify (licmexp -certify).
+	// cell (Cell.Certs) by running solver.Certify over the cell's
+	// record after the solve (so LSolve excludes it); feed them to
+	// licmverify (licmexp -certify).
 	Certify bool
 }
 
@@ -317,11 +318,6 @@ func (cfg Config) RunCell(scheme Scheme, q queries.Query, k int) (Cell, error) {
 	// recorder's cost is negligible next to the solve.
 	rec := &solver.ExplainRecorder{}
 	opts.Explain = rec
-	var crec *solver.CertRecorder
-	if cfg.Certify {
-		crec = &solver.CertRecorder{}
-		opts.Certify = crec
-	}
 	ctx := context.Background()
 	if cfg.SolveDeadline > 0 {
 		var cancel context.CancelFunc
@@ -368,8 +364,10 @@ func (cfg Config) RunCell(scheme Scheme, q queries.Query, k int) (Cell, error) {
 		rep.Quality = cell.Quality
 		cell.Explain = rep
 	}
-	if crec != nil {
-		certs, err := cert.Build(cell.Query, string(scheme), k, crec)
+	if cfg.Certify {
+		// Certification is a pass over the record after the solve, so
+		// its time is not part of LSolve.
+		certs, err := cert.Build(cell.Query, string(scheme), k, solver.Certify(ctx, rec))
 		if err != nil {
 			sp.End(obs.Bool("ok", false))
 			return cell, fmt.Errorf("bench: %s/%s k=%d: %w", scheme, q.Name(), k, err)

@@ -143,11 +143,10 @@ func parseOp(s string) (expr.Op, error) {
 	}
 }
 
-// Build converts a recorder's runs into certificates, one per run,
-// labeled with the caller's query/scheme/k. The recorder may be nil
-// or empty (returns nil).
-func Build(query, scheme string, k int, rec *solver.CertRecorder) ([]*Certificate, error) {
-	runs := rec.Runs()
+// Build converts certified runs (solver.Certify) into certificates,
+// one per run, labeled with the caller's query/scheme/k. No runs
+// yields nil.
+func Build(query, scheme string, k int, runs []solver.CertRun) ([]*Certificate, error) {
 	if len(runs) == 0 {
 		return nil, nil
 	}

@@ -39,14 +39,14 @@ func knapCardProblem() *solver.Problem {
 // certificates plus the two results.
 func solveCertified(t *testing.T, p *solver.Problem) ([]*cert.Certificate, solver.Result, solver.Result) {
 	t.Helper()
-	crec := &solver.CertRecorder{}
+	rec := &solver.ExplainRecorder{}
 	opts := solver.DefaultOptions()
-	opts.Certify = crec
+	opts.Explain = rec
 	minRes, maxRes, err := solver.Bounds(context.Background(), p, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	certs, err := cert.Build("q", "row", 2, crec)
+	certs, err := cert.Build("q", "row", 2, solver.Certify(context.Background(), rec))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,13 +160,13 @@ func TestVerifyInfeasible(t *testing.T) {
 		expr.NewConstraint(expr.Sum(0, 1, 2), expr.LE, 1),
 	}
 	p := &solver.Problem{NumVars: 3, Constraints: cons, Objective: expr.Sum(0)}
-	crec := &solver.CertRecorder{}
+	rec := &solver.ExplainRecorder{}
 	opts := solver.DefaultOptions()
-	opts.Certify = crec
+	opts.Explain = rec
 	if _, err := solver.Maximize(context.Background(), p, opts); !errors.Is(err, solver.ErrInfeasible) {
 		t.Fatalf("err = %v, want infeasible", err)
 	}
-	certs, err := cert.Build("", "", 0, crec)
+	certs, err := cert.Build("", "", 0, solver.Certify(context.Background(), rec))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,11 +187,11 @@ func TestVerifyInfeasible(t *testing.T) {
 // -strict to flag.
 func TestVerifySkipped(t *testing.T) {
 	p := knapCardProblem()
-	crec := &solver.CertRecorder{}
+	rec := &solver.ExplainRecorder{}
 	opts := solver.DefaultOptions()
 	opts.UseLP = false
 	opts.MaxNodes = 20
-	opts.Certify = crec
+	opts.Explain = rec
 	res, err := solver.Maximize(context.Background(), p, opts)
 	if err != nil {
 		t.Skipf("budget starved before a feasible point: %v", err)
@@ -199,7 +199,7 @@ func TestVerifySkipped(t *testing.T) {
 	if res.Proven {
 		t.Skip("solve unexpectedly proven; cannot exercise the skip path")
 	}
-	certs, err := cert.Build("", "", 0, crec)
+	certs, err := cert.Build("", "", 0, solver.Certify(context.Background(), rec))
 	if err != nil {
 		t.Fatal(err)
 	}

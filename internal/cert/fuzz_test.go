@@ -83,11 +83,11 @@ func FuzzCertRoundTrip(f *testing.F) {
 			t.Skip()
 		}
 		p := genProblem(&fuzzReader{data: data})
-		crec := &solver.CertRecorder{}
+		rec := &solver.ExplainRecorder{}
 		opts := solver.DefaultOptions()
-		opts.Certify = crec
+		opts.Explain = rec
 		res, solveErr := solver.Maximize(context.Background(), p, opts)
-		certs, err := cert.Build("fuzz", "", 0, crec)
+		certs, err := cert.Build("fuzz", "", 0, solver.Certify(context.Background(), rec))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -143,7 +143,8 @@ func TestExplainSupervisedTagging(t *testing.T) {
 	}
 
 	// A starved node budget degrades below exact; the tags follow.
-	rec.Reset()
+	rec = &solver.ExplainRecorder{}
+	cfg.Solver.Explain = rec
 	cfg.Solver.MaxNodes = 1
 	out = super.Bounds(context.Background(), liveProblem(), cfg)
 	if out.Quality == super.Exact {

@@ -1,22 +1,22 @@
 package solver
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/big"
-	"sync"
 
 	"licm/internal/expr"
 	"licm/internal/faultinject"
 	"licm/internal/simplex"
 )
 
-// This file makes the solver *certifying*: attach a CertRecorder via
-// Options.Certify and every proven component of a solve additionally
-// produces a machine-checkable optimality (or infeasibility) proof —
-// a branch tree over the component's 0/1 space whose every leaf is
-// closed by a justification an independent checker can replay in
-// exact rational arithmetic, with no search of its own:
+// This file makes the solver *certifying*: Certify turns the runs an
+// ExplainRecorder kept into machine-checkable optimality (or
+// infeasibility) proofs, one per proven component — a branch tree over
+// the component's 0/1 space whose every leaf is closed by a
+// justification an independent checker can replay in exact rational
+// arithmetic, with no search of its own:
 //
 //	dual    a multiplier vector y whose weak-duality box bound is
 //	        below the incumbent (the subtree cannot beat it);
@@ -24,11 +24,11 @@ import (
 //	        subtree cannot beat that point by a whole unit;
 //	farkas  a multiplier vector proving the subtree's LP is empty.
 //
-// The proofs are produced by a dedicated post-solve certification
-// pass, not by mirroring the production search: the search prunes via
-// propagation, warm starts and adaptive LP control, none of which a
-// checker should have to trust. The pass re-derives the branch tree
-// using only checker-replayable closures, extracting candidate
+// The proofs are produced by a certification pass over the record
+// after the solve, not by mirroring the production search: the search
+// prunes via propagation, warm starts and adaptive LP control, none of
+// which a checker should have to trust. The pass re-derives the branch
+// tree using only checker-replayable closures, extracting candidate
 // multipliers from internal/simplex's final tableau (SolveWithDuals)
 // and validating every closure in math/big.Rat *before* emission —
 // so float noise in the LP can never produce a certificate that a
@@ -38,8 +38,7 @@ import (
 // component is recorded as skipped with the reason, never with a
 // bogus proof.
 //
-// The recorder is the raw-data layer, mirroring ExplainRecorder:
-// package internal/cert serializes runs as licm-cert/1 JSONL and
+// Package internal/cert serializes the result as licm-cert/1 JSONL and
 // implements the independent verifier. That verifier deliberately
 // re-implements the leaf checks rather than importing this file —
 // two implementations of the soundness-critical arithmetic mean a
@@ -59,23 +58,10 @@ const (
 	CertSkipped    = "skipped"
 )
 
-// defaultCertNodes is the per-component node budget of the
-// certification pass when CertRecorder.NodeBudget is zero.
-const defaultCertNodes = 200_000
-
-// CertRecorder collects per-solve certificates. Attach one via
-// Options.Certify; like ExplainRecorder, a single recorder may span
-// several solves (a Bounds call appends a "max" and a "min" run).
-// All methods are safe for concurrent use.
-type CertRecorder struct {
-	mu   sync.Mutex
-	runs []CertRun
-
-	// NodeBudget caps the certification pass's branch nodes per
-	// component; 0 means defaultCertNodes. Components whose proof
-	// does not close within the budget are recorded as skipped.
-	NodeBudget int64
-}
+// certNodes is the per-component node budget of the certification
+// pass; components whose proof does not close within it are recorded
+// as skipped.
+const certNodes = 200_000
 
 // CertRun is the certificate of one Maximize/Minimize call. Values
 // are in the solver's internal maximization frame: Minimize negates
@@ -102,7 +88,7 @@ type CertRun struct {
 }
 
 // CertComp is one component's certificate: the projected matrix the
-// claim is about (same projection as ExplainComp, so the same
+// claim is about (the recorded ExplainComp matrix, so the same
 // fingerprint identifies it), the claim, and its proof tree.
 type CertComp struct {
 	Index int
@@ -140,85 +126,44 @@ type CertNode struct {
 	Bound *big.Rat
 }
 
-// Runs returns a snapshot of the recorded runs. The snapshot shares
-// tree and multiplier storage with the recorder; treat it as
-// read-only (the serialization layer does).
-func (r *CertRecorder) Runs() []CertRun {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]CertRun, len(r.runs))
-	copy(out, r.runs)
-	for i := range out {
-		out[i].Comps = append([]CertComp(nil), out[i].Comps...)
+// Certify runs the certification pass over every run rec recorded
+// and returns one CertRun per recorded run, in order. It reads only
+// the record — each component's projected matrix, outcome and witness
+// — so it runs after the solve and never changes the search. ctx
+// carries the fault injector (faultinject.With) into every
+// certification LP; the pass is bounded by its per-component node
+// budget, not by ctx's deadline.
+func Certify(ctx context.Context, rec *ExplainRecorder) []CertRun {
+	faults := faultinject.From(ctx)
+	runs := rec.Runs()
+	out := make([]CertRun, len(runs))
+	for i := range runs {
+		run := &runs[i]
+		cr := CertRun{
+			Sense:  run.Sense,
+			Base:   run.Base,
+			Value:  run.Value,
+			Proven: run.Proven,
+			Err:    run.Err,
+			Comps:  make([]CertComp, len(run.Components)),
+		}
+		for j := range run.Components {
+			cr.Comps[j] = certifyComp(&run.Components[j], faults)
+		}
+		out[i] = cr
 	}
 	return out
 }
 
-// Reset drops all recorded runs so one recorder can be reused.
-func (r *CertRecorder) Reset() {
-	r.mu.Lock()
-	r.runs = r.runs[:0]
-	r.mu.Unlock()
-}
-
-// start opens a new run and returns its index.
-func (r *CertRecorder) start(sense string) int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.runs = append(r.runs, CertRun{Sense: sense})
-	return len(r.runs) - 1
-}
-
-// setBase records the run's non-component objective part.
-func (r *CertRecorder) setBase(run int, base int64) {
-	r.mu.Lock()
-	r.runs[run].Base = base
-	r.mu.Unlock()
-}
-
-// certify runs the certification pass over every solved component and
-// stores the results. comps carries the projected matrices (the same
-// buildExplainComps output the explain layer fingerprints), results
-// the search outcomes, aligned by index; faults is the solve's fault
-// injector, handed to every LP the pass builds.
-func (r *CertRecorder) certify(run int, comps []ExplainComp, results []compResult, faults *faultinject.Injector) {
-	budget := r.NodeBudget
-	if budget <= 0 {
-		budget = defaultCertNodes
-	}
-	out := make([]CertComp, len(comps))
-	for i := range comps {
-		out[i] = certifyComp(&comps[i], &results[i], budget, faults)
-	}
-	r.mu.Lock()
-	r.runs[run].Comps = out
-	r.mu.Unlock()
-}
-
-// finish closes the run with the solve's final value and error.
-func (r *CertRecorder) finish(run int, res *Result, err error) {
-	r.mu.Lock()
-	rr := &r.runs[run]
-	rr.Proven = err == nil && res.Proven
-	rr.Value = res.Value
-	if err != nil {
-		rr.Err = err.Error()
-	}
-	r.mu.Unlock()
-}
-
-// certifyComp produces one component's certificate.
-func certifyComp(ec *ExplainComp, cr *compResult, budget int64, faults *faultinject.Injector) CertComp {
+// certifyComp produces one component's certificate from its record.
+func certifyComp(ec *ExplainComp, faults *faultinject.Injector) CertComp {
 	cc := CertComp{
 		Index: ec.Index,
 		Vars:  ec.Vars,
 		Cons:  ec.Cons,
 		Obj:   ec.Obj,
 	}
-	if !cr.proven {
+	if !ec.Proven {
 		cc.Status = CertSkipped
 		cc.Skip = "solve is unproven (budget or cancellation): no optimality claim to certify"
 		return cc
@@ -228,13 +173,13 @@ func certifyComp(ec *ExplainComp, cr *compResult, budget int64, faults *faultinj
 		cons:   ec.Cons,
 		obj:    ec.Obj,
 		dec:    make([]int8, ec.Vars),
-		budget: budget,
+		budget: certNodes,
 		faults: faults,
 	}
 	for i := range ct.dec {
 		ct.dec[i] = -1
 	}
-	if !cr.feasible {
+	if !ec.Feasible {
 		cc.Status = CertInfeasible
 		cc.Tree = ct.node()
 		if ct.failed != nil {
@@ -245,23 +190,23 @@ func certifyComp(ec *ExplainComp, cr *compResult, budget int64, faults *faultinj
 	// Optimality claim: validate the witness first — it is the
 	// certificate's positive half, and a malformed one means the
 	// search recorded something unusable.
-	if len(cr.assign) != ec.Vars {
-		return skipFor(cc, fmt.Errorf("witness has %d entries, component has %d variables", len(cr.assign), ec.Vars))
+	if len(ec.Witness) != ec.Vars {
+		return skipFor(cc, fmt.Errorf("witness has %d entries, component has %d variables", len(ec.Witness), ec.Vars))
 	}
-	for _, v := range cr.assign {
+	for _, v := range ec.Witness {
 		if v != 0 && v != 1 {
 			return skipFor(cc, fmt.Errorf("witness is not a complete 0/1 point"))
 		}
 	}
-	if val, feas := pointCheck(ec, cr.assign); !feas {
+	if val, feas := pointCheck(ec, ec.Witness); !feas {
 		return skipFor(cc, fmt.Errorf("recorded witness violates the component constraints"))
-	} else if val != cr.best {
-		return skipFor(cc, fmt.Errorf("recorded witness has value %d, solver claimed %d", val, cr.best))
+	} else if val != ec.Best {
+		return skipFor(cc, fmt.Errorf("recorded witness has value %d, solver claimed %d", val, ec.Best))
 	}
 	cc.Status = CertOptimal
-	cc.Value = cr.best
-	cc.Witness = append([]int8(nil), cr.assign...)
-	ct.vstar = cr.best
+	cc.Value = ec.Best
+	cc.Witness = append([]int8(nil), ec.Witness...)
+	ct.vstar = ec.Best
 	ct.hasVstar = true
 	cc.Tree = ct.node()
 	if ct.failed != nil {

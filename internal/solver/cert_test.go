@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"licm/internal/expr"
+	"licm/internal/faultinject"
 )
 
 // walkCert does structural validation of a proof tree: branch nodes
@@ -66,9 +67,9 @@ func walkCert(t *testing.T, cc *CertComp) map[string]int {
 // and each witness achieves its claimed value.
 func TestCertifyOptimal(t *testing.T) {
 	p := hardProblem()
-	crec := &CertRecorder{}
+	rec := &ExplainRecorder{}
 	opts := DefaultOptions()
-	opts.Certify = crec
+	opts.Explain = rec
 	res, err := Maximize(context.Background(), p, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -76,7 +77,7 @@ func TestCertifyOptimal(t *testing.T) {
 	if !res.Proven {
 		t.Fatal("expected a proven solve")
 	}
-	runs := crec.Runs()
+	runs := Certify(context.Background(), rec)
 	if len(runs) != 1 {
 		t.Fatalf("recorded %d runs, want 1", len(runs))
 	}
@@ -126,9 +127,9 @@ func TestCertifyBranchingTree(t *testing.T) {
 		obj = obj.AddTerm(expr.Var(v), 2)
 	}
 	p := &Problem{NumVars: 3, Constraints: cons, Objective: obj}
-	crec := &CertRecorder{}
+	rec := &ExplainRecorder{}
 	opts := DefaultOptions()
-	opts.Certify = crec
+	opts.Explain = rec
 	res, err := Maximize(context.Background(), p, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -136,7 +137,7 @@ func TestCertifyBranchingTree(t *testing.T) {
 	if res.Value != 2 || !res.Proven {
 		t.Fatalf("value = %d proven=%v, want proven 2", res.Value, res.Proven)
 	}
-	run := crec.Runs()[0]
+	run := Certify(context.Background(), rec)[0]
 	if len(run.Comps) != 1 || run.Comps[0].Status != CertOptimal {
 		t.Fatalf("unexpected certificate shape: %+v", run.Comps)
 	}
@@ -167,14 +168,14 @@ func TestCertifyInfeasible(t *testing.T) {
 		expr.NewConstraint(expr.Sum(0, 1, 2), expr.LE, 1),
 	}
 	p := &Problem{NumVars: 3, Constraints: cons, Objective: expr.Sum(0)}
-	crec := &CertRecorder{}
+	rec := &ExplainRecorder{}
 	opts := DefaultOptions()
-	opts.Certify = crec
+	opts.Explain = rec
 	_, err := Maximize(context.Background(), p, opts)
 	if !errors.Is(err, ErrInfeasible) {
 		t.Fatalf("err = %v, want infeasible", err)
 	}
-	run := crec.Runs()[0]
+	run := Certify(context.Background(), rec)[0]
 	if run.Err == "" || run.Proven {
 		t.Fatalf("infeasible run recorded as %+v", run)
 	}
@@ -199,11 +200,11 @@ func TestCertifyInfeasible(t *testing.T) {
 // certificate must never claim more than the solver proved.
 func TestCertifyUnprovenSkips(t *testing.T) {
 	p := hardProblem()
-	crec := &CertRecorder{}
+	rec := &ExplainRecorder{}
 	opts := DefaultOptions()
 	opts.UseLP = false // cripple bounding so the budget trips
 	opts.MaxNodes = 50
-	opts.Certify = crec
+	opts.Explain = rec
 	res, err := Maximize(context.Background(), p, opts)
 	if err != nil {
 		// Budget starvation before any feasible point is also fine for
@@ -213,7 +214,7 @@ func TestCertifyUnprovenSkips(t *testing.T) {
 	if res.Proven {
 		t.Skip("solve unexpectedly proven; cannot exercise the skip path")
 	}
-	run := crec.Runs()[0]
+	run := Certify(context.Background(), rec)[0]
 	skipped := 0
 	for _, cc := range run.Comps {
 		if cc.Status == CertSkipped {
@@ -239,14 +240,14 @@ func TestCertifyUnprovenSkips(t *testing.T) {
 // frame, so its value is the negation of the reported minimum.
 func TestCertifyBoundsBothSenses(t *testing.T) {
 	p := paperStyleProblem()
-	crec := &CertRecorder{}
+	rec := &ExplainRecorder{}
 	opts := DefaultOptions()
-	opts.Certify = crec
+	opts.Explain = rec
 	minRes, maxRes, err := Bounds(context.Background(), p, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	runs := crec.Runs()
+	runs := Certify(context.Background(), rec)
 	if len(runs) != 2 || runs[0].Sense != "max" || runs[1].Sense != "min" {
 		t.Fatalf("runs = %+v, want a max run then a min run", runs)
 	}
@@ -270,25 +271,21 @@ func TestCertifyBoundsBothSenses(t *testing.T) {
 			t.Fatalf("%s run: base %d + components = %d, value %d", run.Sense, run.Base, sum, run.Value)
 		}
 	}
-	crec.Reset()
-	if len(crec.Runs()) != 0 {
-		t.Fatal("Reset left runs behind")
-	}
 }
 
 // TestCertifyMergedPath: the decomposition-ablation path (Decompose
 // off) certifies the single merged component.
 func TestCertifyMergedPath(t *testing.T) {
 	p := paperStyleProblem()
-	crec := &CertRecorder{}
+	rec := &ExplainRecorder{}
 	opts := DefaultOptions()
 	opts.Decompose = false
-	opts.Certify = crec
+	opts.Explain = rec
 	res, err := Maximize(context.Background(), p, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	run := crec.Runs()[0]
+	run := Certify(context.Background(), rec)[0]
 	if len(run.Comps) != 1 {
 		t.Fatalf("merged solve recorded %d components, want 1", len(run.Comps))
 	}
@@ -299,5 +296,25 @@ func TestCertifyMergedPath(t *testing.T) {
 	walkCert(t, &cc)
 	if run.Base+cc.Value != res.Value {
 		t.Fatalf("base %d + merged value %d != result %d", run.Base, cc.Value, res.Value)
+	}
+}
+
+// TestCertifyCarriesFaultInjector: certification runs after the solve,
+// on the caller's context, and every certification LP must still reach
+// the fault injector that context carries.
+func TestCertifyCarriesFaultInjector(t *testing.T) {
+	rec := &ExplainRecorder{}
+	opts := DefaultOptions()
+	opts.Explain = rec
+	if _, err := Maximize(context.Background(), hardProblem(), opts); err != nil {
+		t.Fatal(err)
+	}
+	ctx := faultinject.With(context.Background(), faultinject.Plan{Site: faultinject.LPPivot, Hit: -1})
+	runs := Certify(ctx, rec)
+	if len(runs) != 1 || len(runs[0].Comps) == 0 {
+		t.Fatalf("certified %d runs, want 1 with components", len(runs))
+	}
+	if hits := faultinject.From(ctx).Hits(faultinject.LPPivot); hits <= 0 {
+		t.Fatalf("certification LPs reached the injector %d times, want > 0", hits)
 	}
 }

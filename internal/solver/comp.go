@@ -13,17 +13,18 @@ import (
 // maximization.
 type comp struct {
 	n       int
-	cons    []lcon
+	cons    []ExplainCon
 	obj     []int64 // objective coefficient per local variable
 	derived []bool  // nil, or per-variable lineage marker
 	prop    *propagator
 	opts    Options
 
-	// ci/board identify this component's slot on the solve's
-	// SnapshotBoard; board is nil (and publishing a no-op) for
-	// heuristic dives and witness completion.
-	ci    int
-	board *SnapshotBoard
+	// slot is this component's record on rec: the search publishes its
+	// live bound and incumbents there. Heuristic dives share their
+	// component's slot; witness completion writes to a record of its
+	// own.
+	rec  *ExplainRecorder
+	slot *ExplainComp
 
 	order []int32 // branching order over local variables
 
@@ -40,7 +41,7 @@ type comp struct {
 	budget   *int64 // shared node budget; nil means unlimited
 	nodes    int64
 	lpSolves int64
-	lpNs     int64 // wall time inside LP relaxation solves (explain/metrics only)
+	lpNs     int64 // wall time inside LP relaxation solves
 
 	// Live instrumentation (nil ctrl = off, the fast path). flushed*
 	// remember what has already been pushed into the shared atomics so
@@ -167,13 +168,13 @@ func (c *comp) flushCtrl() bool {
 	return true
 }
 
-// solveComp maximizes c.obj over the component. The propagator's
-// domains may carry fixings from global presolve. ci is the
-// component's index on the solve's SnapshotBoard (ignored when
-// opts.Snapshots is nil).
-func solveComp(ci, n int, cons []lcon, obj []int64, derived []bool, prop *propagator, opts Options, budget *int64, kc *ctrl) compResult {
+// solveComp maximizes slot's objective over slot's matrix, publishing
+// the live bound and incumbents onto slot as the search goes.
+func solveComp(rec *ExplainRecorder, slot *ExplainComp, derived []bool, opts Options, budget *int64, kc *ctrl) compResult {
+	n, cons, obj := slot.Vars, slot.Cons, slot.Obj
+	prop := newPropagator(n, cons)
 	c := &comp{n: n, cons: cons, obj: obj, derived: derived, prop: prop, opts: opts, budget: budget, ctrl: kc,
-		ci: ci, board: opts.Snapshots}
+		rec: rec, slot: slot}
 	if kc.timingLatencies() {
 		c.lastBatch = time.Now()
 	}
@@ -185,9 +186,7 @@ func solveComp(ci, n int, cons []lcon, obj []int64, derived []bool, prop *propag
 		if c.ctrl != nil {
 			c.flushCtrl()
 		}
-		r := compResult{feasible: false, proven: true, props: prop.nAssigns}
-		c.board.finish(c.ci, r)
-		return r
+		return compResult{feasible: false, proven: true, props: prop.nAssigns}
 	}
 	c.buildOrder()
 	c.initObjTrack()
@@ -215,7 +214,7 @@ func solveComp(ci, n int, cons []lcon, obj []int64, derived []bool, prop *propag
 		var hint []int8
 		if sol, status, cols := c.solveRelaxation(c.cur); status == simplex.Optimal && isFinite(sol.Obj) {
 			c.rootLP, c.hasRootLP = int64(math.Floor(sol.Obj+1e-6)), true
-			c.board.refineUB(c.ci, c.rootLP)
+			rec.refineUB(slot, c.rootLP)
 			hint = make([]int8, n)
 			for i := range hint {
 				hint[i] = -1
@@ -229,13 +228,12 @@ func solveComp(ci, n int, cons []lcon, obj []int64, derived []bool, prop *propag
 			}
 		}
 		diveBudget := int64(64*n + 2048)
-		d := &comp{n: n, cons: cons, obj: obj, derived: derived, prop: prop, opts: opts,
+		d := &comp{n: n, cons: cons, obj: obj, derived: derived, prop: prop, opts: opts, rec: rec, slot: slot,
 			order: c.order, budget: &diveBudget, stopAtFirst: true, valueHint: hint}
 		d.initObjTrack()
 		d.dfsNode(0)
 		if d.hasIncumbent {
 			c.best, c.hasIncumbent, c.assign = d.best, true, d.assign
-			c.publishIncumbent()
 		}
 		c.nodes += d.nodes
 		c.valueHint = hint
@@ -253,13 +251,12 @@ func solveComp(ci, n int, cons []lcon, obj []int64, derived []bool, prop *propag
 		// a cheap heuristic dive (first feasible leaf, bounded
 		// backtracking) so an unproven value can still be reported.
 		diveBudget := int64(256*n + 4096)
-		d := &comp{n: n, cons: cons, obj: obj, derived: derived, prop: prop, opts: opts,
+		d := &comp{n: n, cons: cons, obj: obj, derived: derived, prop: prop, opts: opts, rec: rec, slot: slot,
 			order: c.order, budget: &diveBudget, stopAtFirst: true}
 		d.initObjTrack()
 		d.dfsNode(0)
 		if d.hasIncumbent {
 			c.best, c.hasIncumbent, c.assign = d.best, true, d.assign
-			c.publishIncumbent()
 		}
 		c.nodes += d.nodes
 	}
@@ -297,16 +294,7 @@ func solveComp(ci, n int, cons []lcon, obj []int64, derived []bool, prop *propag
 			res.bound = res.best
 		}
 	}
-	c.board.finish(c.ci, res)
 	return res
-}
-
-// publishIncumbent mirrors the component's current best feasible value
-// onto the snapshot board (a no-op when no board is attached).
-func (c *comp) publishIncumbent() {
-	if c.board != nil && c.hasIncumbent {
-		c.board.observeIncumbent(c.ci, c.best)
-	}
 }
 
 // isFinite reports whether x is a usable objective value: NaN and ±Inf
@@ -445,7 +433,7 @@ func (c *comp) recordIncumbent(val int64) {
 		c.assign = make([]int8, c.n)
 	}
 	copy(c.assign, c.prop.dom)
-	c.publishIncumbent()
+	c.rec.observeIncumbent(c.slot, val)
 }
 
 // preferredValue picks the branch value to try first: follow the
@@ -637,17 +625,14 @@ func (c *comp) lpNode(pos int) {
 // returned objective includes the value of already-fixed variables.
 func (c *comp) solveRelaxation(fixedVal int64) (simplex.Solution, simplex.Status, []int32) {
 	c.lpSolves++
-	timing := c.ctrl.timingLatencies()
-	if timing || c.opts.Explain != nil {
-		t0 := time.Now()
-		defer func() {
-			d := time.Since(t0)
-			if timing {
-				c.ctrl.observeLP(d)
-			}
-			c.lpNs += d.Nanoseconds()
-		}()
-	}
+	t0 := time.Now()
+	defer func() {
+		d := time.Since(t0)
+		if c.ctrl.timingLatencies() {
+			c.ctrl.observeLP(d)
+		}
+		c.lpNs += d.Nanoseconds()
+	}()
 	col := make(map[int32]int, 16)
 	var cols []int32
 	colOf := func(v int32) int {
@@ -668,15 +653,15 @@ func (c *comp) solveRelaxation(fixedVal int64) (simplex.Solution, simplex.Status
 	for i := range c.cons {
 		con := &c.cons[i]
 		var entries []simplex.Entry
-		rhs := float64(con.rhs)
-		for k, v := range con.vars {
+		rhs := float64(con.RHS)
+		for k, v := range con.Vars {
 			switch c.prop.dom[v] {
 			case 1:
-				rhs -= float64(con.coef[k])
+				rhs -= float64(con.Coef[k])
 			case 0:
 				// contributes nothing
 			default:
-				entries = append(entries, simplex.Entry{Col: -1, Coef: float64(con.coef[k])})
+				entries = append(entries, simplex.Entry{Col: -1, Coef: float64(con.Coef[k])})
 				// column index resolved below once all frees are known
 				entries[len(entries)-1].Col = colOf(v)
 			}
@@ -684,7 +669,7 @@ func (c *comp) solveRelaxation(fixedVal int64) (simplex.Solution, simplex.Status
 		if len(entries) == 0 {
 			continue
 		}
-		rows = append(rows, lpRow{entries, simplex.Op(con.op), rhs})
+		rows = append(rows, lpRow{entries, simplex.Op(con.Op), rhs})
 	}
 	// Free variables with objective weight but no active constraint
 	// still need a column so the LP maximizes them.

@@ -2,23 +2,27 @@ package solver
 
 import (
 	"sync"
-	"time"
 
 	"licm/internal/expr"
 )
 
-// ExplainRecorder collects per-solve forensics: the pruning effect,
-// the decomposed component list with each component's projected
-// constraint matrix, and per-component search attribution (nodes, LP
-// solves, wall time). Attach one via Options.Explain; a single
-// recorder may span several solves — a Bounds call appends a "max"
-// and a "min" run, and a supervised solve appends one run per retry.
+// ExplainRecorder is the per-component record of a solve. Every solve
+// writes one run onto it: the pruning effect, the decomposed
+// components with each one's projected constraint matrix (the matrix
+// the search then solves as is), each component's live upper bound
+// and incumbent while its search runs, and its outcome and search
+// attribution when the search returns.
 //
-// The recorder is the raw-data layer: it exports matrices and
-// counters and knows nothing about fingerprints or reports; package
-// internal/explain builds the licm-explain/1 report and the workload
-// census on top. All methods are safe for concurrent use (components
-// may run on worker goroutines).
+// Attach one via Options.Explain to keep the record; without one the
+// solve writes it to a recorder of its own and drops it. A single
+// recorder may span several solves — a Bounds call appends a "max"
+// and a "min" run, and a supervised solve appends one run per attempt.
+// The record has three readers: internal/super takes the anytime
+// interval of a cut-short attempt from it (Interval), Certify derives
+// proofs from its matrices and witnesses, and package internal/explain
+// builds the licm-explain/1 report and the workload census on top. All
+// methods are safe for concurrent use (components may run on worker
+// goroutines).
 type ExplainRecorder struct {
 	mu   sync.Mutex
 	runs []ExplainRun
@@ -27,7 +31,8 @@ type ExplainRecorder struct {
 // ExplainRun is the record of one Maximize/Minimize call.
 type ExplainRun struct {
 	// Sense is "max" or "min" (the solver's label; Minimize negates
-	// the objective, so a min run's component objectives are negated).
+	// the objective, so a min run's component objectives, Base and
+	// Value are negated).
 	Sense string
 	// Quality is the supervisor's degradation tag for the run
 	// ("exact", "proven-interval", "sampled", "failed"); empty for
@@ -40,6 +45,14 @@ type ExplainRun struct {
 	VarsAfterPrune  int
 	ConsAfterPrune  int
 	FixedByPresolve int
+
+	// Base is the objective constant plus the contribution of the
+	// variables presolve fixed: the part of the value no component
+	// accounts for. Value is the run's final objective value (zero on
+	// an error return). A clean proven run has
+	// Value == Base + sum(component Best).
+	Base  int64
+	Value int64
 
 	// Components are the decomposed subproblems, registered before any
 	// search work — so they survive cancellation and budget exhaustion
@@ -67,15 +80,21 @@ type ExplainRun struct {
 	Proven           bool
 	// Err is the terminal error text, empty on success.
 	Err string
+
+	// decomposed is set once Base and Components are registered;
+	// before that (validation, static-check or presolve failures) the
+	// run supports no interval claim.
+	decomposed bool
 }
 
 // ExplainComp is one decomposed component: its projected constraint
 // matrix over local variable ids 0..Vars-1 (globally-fixed variables
-// folded into the right-hand sides, exactly as the component solver
-// sees it) plus the work the search spent on it.
+// folded into the right-hand sides), which is exactly what the
+// component search solves, plus the search's live state, outcome and
+// work. Values are in the sense of the internal maximization.
 type ExplainComp struct {
 	// Index is the component's slot in the decomposition (the same
-	// index CompSnapshot and CompPanic use).
+	// index CompPanic uses).
 	Index int
 	// Vars is the number of local variables.
 	Vars int
@@ -84,8 +103,18 @@ type ExplainComp struct {
 	// Obj holds the local objective coefficients (length Vars).
 	Obj []int64
 
-	// Search attribution, filled when the component's search returns;
-	// zero (with Solved false) when cancellation struck first.
+	// Live state, valid at any moment of the search. UpperBound is a
+	// proven upper bound on the component's optimum: the sum of its
+	// positive objective coefficients at registration, tightened by
+	// the root LP relaxation and finally by the search's bound.
+	// Incumbent is the best feasible value found so far, meaningful
+	// only when HasIncumbent: a proven lower bound on the optimum.
+	UpperBound   int64
+	Incumbent    int64
+	HasIncumbent bool
+
+	// Search attribution and outcome, filled when the component's
+	// search returns; zero (with Solved false) when it never did.
 	Solved       bool
 	Nodes        int64
 	LPSolves     int64
@@ -99,9 +128,14 @@ type ExplainComp struct {
 	Proven   bool
 	Best     int64
 	Bound    int64
+	// Witness is a point achieving Best over the local variables (nil
+	// when the search found no feasible point).
+	Witness []int8
 }
 
-// ExplainCon is one projected constraint row in local variable ids.
+// ExplainCon is one constraint row over local variable ids: the form
+// the propagator, the LP relaxation, the record and the certificates
+// all share.
 type ExplainCon struct {
 	Vars []int32
 	Coef []int64
@@ -109,7 +143,8 @@ type ExplainCon struct {
 	RHS  int64
 }
 
-// Runs returns a snapshot of the recorded runs.
+// Runs returns a snapshot of the recorded runs. The snapshot shares
+// matrix and witness storage with the recorder; treat it as read-only.
 func (r *ExplainRecorder) Runs() []ExplainRun {
 	if r == nil {
 		return nil
@@ -124,12 +159,46 @@ func (r *ExplainRecorder) Runs() []ExplainRun {
 	return out
 }
 
-// Reset drops all recorded runs, so one recorder can be reused across
-// queries (e.g. per experiment cell).
-func (r *ExplainRecorder) Reset() {
+// Len returns the number of runs recorded so far: the next solve on
+// the recorder opens run Len().
+func (r *ExplainRecorder) Len() int {
 	r.mu.Lock()
-	r.runs = r.runs[:0]
-	r.mu.Unlock()
+	defer r.mu.Unlock()
+	return len(r.runs)
+}
+
+// Interval assembles the anytime proven interval of a run's objective
+// from its component records, in the internal maximization sense (for
+// a "min" run a caller negates and swaps the ends): hi is always a
+// proven upper bound, Base plus every component's UpperBound; lo is a
+// proven lower bound only when every component has an incumbent
+// (hasLo). ok is false when the run does not exist or never reached
+// decomposition, or some component proved infeasibility — no interval
+// claim can be made then.
+func (r *ExplainRecorder) Interval(run int) (lo, hi int64, hasLo, ok bool) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if run < 0 || run >= len(r.runs) || !r.runs[run].decomposed {
+		return 0, 0, false, false
+	}
+	rr := &r.runs[run]
+	lo, hi, hasLo = rr.Base, rr.Base, true
+	for i := range rr.Components {
+		c := &rr.Components[i]
+		if c.Solved && !c.Feasible && c.Proven {
+			return 0, 0, false, false
+		}
+		hi += c.UpperBound
+		if c.HasIncumbent {
+			lo += c.Incumbent
+		} else {
+			hasLo = false
+		}
+	}
+	if !hasLo {
+		lo = 0
+	}
+	return lo, hi, hasLo, true
 }
 
 // TagSense stamps quality onto every recorded run with the given
@@ -137,9 +206,6 @@ func (r *ExplainRecorder) Reset() {
 // degradation-ladder verdict to the runs (including retries) of one
 // side.
 func (r *ExplainRecorder) TagSense(sense, quality string) {
-	if r == nil {
-		return
-	}
 	r.mu.Lock()
 	for i := range r.runs {
 		if r.runs[i].Sense == sense {
@@ -147,6 +213,15 @@ func (r *ExplainRecorder) TagSense(sense, quality string) {
 		}
 	}
 	r.mu.Unlock()
+}
+
+// recorderFor returns the recorder a solve writes to: the caller's
+// Options.Explain, or a fresh one the solve drops.
+func recorderFor(opts Options) *ExplainRecorder {
+	if opts.Explain != nil {
+		return opts.Explain
+	}
+	return &ExplainRecorder{}
 }
 
 // start opens a new run and returns its index.
@@ -157,9 +232,13 @@ func (r *ExplainRecorder) start(sense string) int {
 	return len(r.runs) - 1
 }
 
-// setPrune records the pruning/presolve figures as soon as they are
-// known, so they survive a later error return (which zeroes Stats).
-func (r *ExplainRecorder) setPrune(run int, st *Stats) {
+// register installs the pruning/presolve figures, the base value and
+// the projected components. Called once per run, after decomposition
+// and before any search work, so the figures survive a later error
+// return (which zeroes Stats) and an interval is available from the
+// first moment a fault can strike. The search then writes into comps
+// in place.
+func (r *ExplainRecorder) register(run int, st *Stats, base int64, comps []ExplainComp) {
 	r.mu.Lock()
 	rr := &r.runs[run]
 	rr.VarsBefore = st.VarsBefore
@@ -169,42 +248,63 @@ func (r *ExplainRecorder) setPrune(run int, st *Stats) {
 	rr.FixedByPresolve = st.FixedByPresolve
 	rr.PruneNs = st.PruneTime.Nanoseconds()
 	rr.PresolveNs = st.PresolveTime.Nanoseconds()
+	rr.Base = base
+	rr.Components = comps
+	rr.decomposed = true
 	r.mu.Unlock()
 }
 
-// registerComponents installs the decomposed component list. Called
-// once per run, after decomposition and before any search work.
-func (r *ExplainRecorder) registerComponents(run int, comps []ExplainComp) {
+// refineUB tightens component c's live upper bound (no-op if ub is
+// not tighter).
+func (r *ExplainRecorder) refineUB(c *ExplainComp, ub int64) {
 	r.mu.Lock()
-	r.runs[run].Components = comps
-	r.mu.Unlock()
-}
-
-// recordComp fills component ci's search attribution.
-func (r *ExplainRecorder) recordComp(run, ci int, cr compResult, solveNs int64) {
-	r.mu.Lock()
-	comps := r.runs[run].Components
-	if ci >= 0 && ci < len(comps) {
-		c := &comps[ci]
-		c.Solved = true
-		c.Nodes = cr.nodes
-		c.LPSolves = cr.lpSolves
-		c.Propagations = cr.props
-		c.SolveNs = solveNs
-		c.LPNs = cr.lpNs
-		c.Feasible = cr.feasible
-		c.Proven = cr.proven
-		c.Best = cr.best
-		c.Bound = cr.bound
+	if ub < c.UpperBound {
+		c.UpperBound = ub
 	}
 	r.mu.Unlock()
 }
 
-// finish closes the run with the solve's final Stats and error.
+// observeIncumbent records a feasible value v of component c.
+func (r *ExplainRecorder) observeIncumbent(c *ExplainComp, v int64) {
+	r.mu.Lock()
+	if !c.HasIncumbent || v > c.Incumbent {
+		c.Incumbent, c.HasIncumbent = v, true
+	}
+	r.mu.Unlock()
+}
+
+// recordComp fills component c's outcome and search attribution once
+// its search returned.
+func (r *ExplainRecorder) recordComp(c *ExplainComp, cr compResult, solveNs int64) {
+	r.mu.Lock()
+	c.Solved = true
+	c.Nodes = cr.nodes
+	c.LPSolves = cr.lpSolves
+	c.Propagations = cr.props
+	c.SolveNs = solveNs
+	c.LPNs = cr.lpNs
+	c.Feasible = cr.feasible
+	c.Proven = cr.proven
+	c.Best = cr.best
+	c.Bound = cr.bound
+	c.Witness = cr.assign
+	if cr.feasible {
+		if !c.HasIncumbent || cr.best > c.Incumbent {
+			c.Incumbent, c.HasIncumbent = cr.best, true
+		}
+		if cr.bound < c.UpperBound {
+			c.UpperBound = cr.bound
+		}
+	}
+	r.mu.Unlock()
+}
+
+// finish closes the run with the solve's final result and error.
 func (r *ExplainRecorder) finish(run int, res *Result, err error) {
 	r.mu.Lock()
 	rr := &r.runs[run]
 	st := &res.Stats
+	rr.Value = res.Value
 	rr.Nodes = st.Nodes
 	rr.LPSolves = st.LPSolves
 	rr.Propagations = st.Propagations
@@ -231,51 +331,42 @@ func (r *ExplainRecorder) finish(run int, res *Result, err error) {
 	r.mu.Unlock()
 }
 
-// buildExplainComps projects each component's constraints and
-// objective into local variable ids, folding globally-fixed variables
-// into the right-hand sides — the same projection solveOne performs,
-// captured here so the explain layer fingerprints exactly what the
-// component solver works on.
-func buildExplainComps(comps []component, lcons []lcon, objCoef map[expr.Var]int64, globalDom []int8) []ExplainComp {
-	out := make([]ExplainComp, len(comps))
-	for i, cm := range comps {
-		ec := ExplainComp{Index: i, Vars: len(cm.vars)}
-		local := make(map[expr.Var]int32, len(cm.vars))
-		for j, v := range cm.vars {
-			local[v] = int32(j)
-		}
-		ec.Cons = make([]ExplainCon, 0, len(cm.cons))
-		for _, ci := range cm.cons {
-			src := &lcons[ci]
-			con := ExplainCon{Op: src.op, RHS: src.rhs}
-			for k, v := range src.vars {
-				switch globalDom[v] {
-				case 1:
-					con.RHS -= src.coef[k]
-				case 0:
-					// contributes nothing
-				default:
-					con.Vars = append(con.Vars, local[expr.Var(v)])
-					con.Coef = append(con.Coef, src.coef[k])
-				}
+// project returns component cm's record with its constraints and
+// objective projected into local variable ids, globally-fixed
+// variables folded into the right-hand sides. It is the one
+// projection: the search solves the returned matrix as is, so the
+// explain fingerprint and the certificates name exactly the matrix
+// that was solved.
+func project(ci int, cm component, lcons []ExplainCon, objCoef map[expr.Var]int64, globalDom []int8) ExplainComp {
+	ec := ExplainComp{Index: ci, Vars: len(cm.vars)}
+	local := make(map[expr.Var]int32, len(cm.vars))
+	for j, v := range cm.vars {
+		local[v] = int32(j)
+	}
+	ec.Cons = make([]ExplainCon, 0, len(cm.cons))
+	for _, row := range cm.cons {
+		src := &lcons[row]
+		con := ExplainCon{Op: src.Op, RHS: src.RHS}
+		for k, v := range src.Vars {
+			switch globalDom[v] {
+			case 1:
+				con.RHS -= src.Coef[k]
+			case 0:
+				// contributes nothing
+			default:
+				con.Vars = append(con.Vars, local[expr.Var(v)])
+				con.Coef = append(con.Coef, src.Coef[k])
 			}
-			ec.Cons = append(ec.Cons, con)
 		}
-		ec.Obj = make([]int64, len(cm.vars))
-		for j, v := range cm.vars {
-			ec.Obj[j] = objCoef[v]
+		ec.Cons = append(ec.Cons, con)
+	}
+	ec.Obj = make([]int64, len(cm.vars))
+	for j, v := range cm.vars {
+		c := objCoef[v]
+		ec.Obj[j] = c
+		if c > 0 {
+			ec.UpperBound += c
 		}
-		out[i] = ec
 	}
-	return out
-}
-
-// explainTimer returns the start time for a component solve when a
-// recorder is attached (zero otherwise, keeping the unexplained path
-// clock-free).
-func explainTimer(rec *ExplainRecorder) time.Time {
-	if rec == nil {
-		return time.Time{}
-	}
-	return time.Now()
+	return ec
 }

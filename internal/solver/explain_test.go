@@ -187,8 +187,8 @@ func TestExplainRecorderIsNoop(t *testing.T) {
 	}
 }
 
-// TestExplainTagSenseAndReset covers the supervisor hook and reuse.
-func TestExplainTagSenseAndReset(t *testing.T) {
+// TestExplainTagSense covers the supervisor hook.
+func TestExplainTagSense(t *testing.T) {
 	rec := &ExplainRecorder{}
 	i := rec.start("max")
 	rec.finish(i, &Result{}, nil)
@@ -199,8 +199,51 @@ func TestExplainTagSenseAndReset(t *testing.T) {
 	if runs[0].Quality != "sampled" || runs[1].Quality != "" {
 		t.Errorf("TagSense mis-stamped: %q / %q", runs[0].Quality, runs[1].Quality)
 	}
-	rec.Reset()
-	if len(rec.Runs()) != 0 {
-		t.Error("Reset left runs behind")
+}
+
+// TestRecordedComponentsReplay: the record keeps exactly the matrix
+// the search solved, so each recorded component, solved alone from its
+// recorded matrix, reproduces the recorded outcome and search effort —
+// sequentially and on a worker pool, with and without LP bounding.
+func TestRecordedComponentsReplay(t *testing.T) {
+	cases := []struct {
+		name  string
+		p     *Problem
+		useLP bool
+	}{
+		{"hard", hardProblem(), true},
+		{"permutation", permutationBlocks(6, 3, 9), true},
+		// Without the LP each block takes hundreds of DFS nodes.
+		{"permutation", permutationBlocks(5, 3, 9), false},
+	}
+	for _, workers := range []int{1, 4} {
+		for _, tc := range cases {
+			opts := DefaultOptions()
+			opts.UseLP = tc.useLP
+			rec := &ExplainRecorder{}
+			wopts := opts
+			wopts.Workers = workers
+			wopts.Explain = rec
+			if _, err := Maximize(context.Background(), tc.p, wopts); err != nil {
+				t.Fatalf("%s workers=%d lp=%v: %v", tc.name, workers, tc.useLP, err)
+			}
+			comps := rec.Runs()[0].Components
+			if len(comps) < 2 {
+				t.Fatalf("%s workers=%d lp=%v: %d components, want several", tc.name, workers, tc.useLP, len(comps))
+			}
+			var nodes int64
+			for _, c := range comps {
+				alone := ExplainComp{Index: c.Index, Vars: c.Vars, Cons: c.Cons, Obj: c.Obj}
+				cr := solveComp(&ExplainRecorder{}, &alone, nil, opts, nil, nil)
+				if cr.best != c.Best || cr.bound != c.Bound || cr.proven != c.Proven || cr.nodes != c.Nodes {
+					t.Errorf("%s workers=%d lp=%v component %d: alone (best %d, bound %d, proven %v, nodes %d), recorded (%d, %d, %v, %d)",
+						tc.name, workers, tc.useLP, c.Index, cr.best, cr.bound, cr.proven, cr.nodes, c.Best, c.Bound, c.Proven, c.Nodes)
+				}
+				nodes += c.Nodes
+			}
+			if nodes == 0 {
+				t.Errorf("%s workers=%d lp=%v: no search nodes recorded", tc.name, workers, tc.useLP)
+			}
+		}
 	}
 }

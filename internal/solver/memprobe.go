@@ -1,28 +1,28 @@
 package solver
 
-import "runtime/metrics"
+import "runtime"
 
 // memProbe measures heap consumption across one solve through two
-// runtime/metrics reads: the cumulative allocation counter yields
-// Stats.AllocBytes as an end-minus-start delta, and the live-heap
-// gauge yields Stats.PeakHeap as the larger of the two readings
-// (an endpoint sample, not a continuous max — cheap enough to run on
-// every instrumented solve). Both are process-wide, so concurrent
-// solves (Bounds runs min and max in sequence, super may race a
-// sampler) attribute shared allocation to every observer; the numbers
-// answer "what did the process pay while this solve ran", which is
-// the capacity-planning question. The probe only arms when tracing or
-// metrics are on, keeping the disabled path at a single bool check.
+// runtime.ReadMemStats reads: the cumulative allocation counter
+// yields Stats.AllocBytes as an end-minus-start delta, and the
+// live-heap figure yields Stats.PeakHeap as the larger of the two
+// readings (an endpoint sample, not a continuous max). ReadMemStats
+// flushes the per-P allocation caches before it counts, so even a
+// short solve's small allocations show; runtime/metrics'
+// /gc/heap/allocs:bytes counts them only when a cached span is
+// flushed and can read 0 across a whole solve. The price is a brief
+// stop-the-world per read (tens of microseconds). Both figures are
+// process-wide, so concurrent solves (Bounds runs min and max in
+// sequence, super may race a sampler) attribute shared allocation to
+// every observer; the numbers answer "what did the process pay while
+// this solve ran", which is the capacity-planning question. The probe
+// only arms when tracing or metrics are on, keeping the disabled path
+// at a single bool check.
 type memProbe struct {
 	on      bool
 	allocs0 uint64
 	heap0   uint64
 }
-
-const (
-	memMetricAllocs = "/gc/heap/allocs:bytes"
-	memMetricHeap   = "/memory/classes/heap/objects:bytes"
-)
 
 func startMemProbe(on bool) memProbe {
 	if !on {
@@ -33,17 +33,11 @@ func startMemProbe(on bool) memProbe {
 }
 
 // readMemCounters returns the cumulative heap-allocation and live-heap
-// byte readings, zero for any metric the toolchain does not provide.
+// byte readings.
 func readMemCounters() (allocs, heap uint64) {
-	s := [2]metrics.Sample{{Name: memMetricAllocs}, {Name: memMetricHeap}}
-	metrics.Read(s[:])
-	if s[0].Value.Kind() == metrics.KindUint64 {
-		allocs = s[0].Value.Uint64()
-	}
-	if s[1].Value.Kind() == metrics.KindUint64 {
-		heap = s[1].Value.Uint64()
-	}
-	return allocs, heap
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.TotalAlloc, ms.HeapAlloc
 }
 
 // stop records the deltas into st; a disarmed probe leaves st alone.

@@ -138,30 +138,17 @@ type Options struct {
 	// are updated in flight (within ctrlGranularity nodes), so a
 	// long solve is watchable via expvar.
 	Metrics *obs.Registry
-	// Snapshots, if non-nil, receives per-component incumbent/bound
-	// snapshots during the solve, so a supervisor can assemble an
-	// anytime proven interval even when the solve is cancelled before
-	// a global feasible point exists. Use a fresh board per solve; for
-	// Minimize the board holds negated-sense values (see
-	// SnapshotBoard).
-	Snapshots *SnapshotBoard
-	// Explain, if non-nil, records per-solve forensics: pruning
-	// effect, the decomposed component list with each component's
-	// projected constraint matrix, and per-component search
-	// attribution (nodes, LP solves, wall and LP time). One recorder
-	// may span several solves — a Bounds call records a "max" and a
-	// "min" run. Package internal/explain turns recordings into
-	// licm-explain/1 reports and workload censuses. nil disables
-	// recording at no cost.
+	// Explain, if non-nil, keeps the solve's per-component record (see
+	// ExplainRecorder): pruning effect, each component's projected
+	// constraint matrix, live bound and incumbent, outcome and witness,
+	// and search attribution. Every solve writes the record; nil only
+	// means it is dropped when the solve returns. One recorder may span
+	// several solves — a Bounds call records a "max" and a "min" run.
+	// internal/super reads anytime intervals from it, Certify derives
+	// licm-cert/1 proofs from it after the solve, and package
+	// internal/explain turns it into licm-explain/1 reports and
+	// workload censuses.
 	Explain *ExplainRecorder
-	// Certify, if non-nil, makes the solve certifying: after the
-	// search, a dedicated certification pass re-derives for every
-	// proven component a machine-checkable proof tree (optimality or
-	// infeasibility) whose leaves an independent checker replays in
-	// exact rational arithmetic — see CertRecorder. Package
-	// internal/cert serializes recordings as licm-cert/1 and verifies
-	// them (cmd/licmverify). nil disables certification at no cost.
-	Certify *CertRecorder
 }
 
 // DefaultOptions returns the recommended settings.
@@ -218,7 +205,7 @@ type Stats struct {
 	WitnessExhausted bool
 
 	// AllocBytes is the process-wide heap allocation (bytes, via
-	// runtime/metrics) observed between solve start and end, and
+	// runtime.ReadMemStats) observed between solve start and end, and
 	// PeakHeap the larger of the live-heap readings at those two
 	// points. Both are recorded only when tracing or metrics are
 	// attached (zero otherwise) and are process-level: concurrent

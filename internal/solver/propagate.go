@@ -2,46 +2,39 @@ package solver
 
 import "licm/internal/expr"
 
-// lcon is a constraint in compact local form: parallel slices of
-// variable indices and coefficients, a comparison operator, and a
-// right-hand side.
-type lcon struct {
-	vars []int32
-	coef []int64
-	op   expr.Op
-	rhs  int64
-}
-
-func toLcon(c expr.Constraint, remap func(expr.Var) int32) lcon {
+// toLcon converts a constraint to compact local form: parallel slices
+// of variable indices and coefficients, a comparison operator, and a
+// right-hand side with the expression's constant folded in.
+func toLcon(c expr.Constraint, remap func(expr.Var) int32) ExplainCon {
 	terms := c.Lin.Terms()
-	l := lcon{
-		vars: make([]int32, len(terms)),
-		coef: make([]int64, len(terms)),
-		op:   c.Op,
-		rhs:  c.RHS - c.Lin.Const(),
+	l := ExplainCon{
+		Vars: make([]int32, len(terms)),
+		Coef: make([]int64, len(terms)),
+		Op:   c.Op,
+		RHS:  c.RHS - c.Lin.Const(),
 	}
 	for i, t := range terms {
-		l.vars[i] = remap(t.Var)
-		l.coef[i] = t.Coef
+		l.Vars[i] = remap(t.Var)
+		l.Coef[i] = t.Coef
 	}
 	return l
 }
 
 // holds evaluates the constraint under a complete assignment.
-func (l *lcon) holds(dom []int8) bool {
+func (l *ExplainCon) holds(dom []int8) bool {
 	var v int64
-	for i, x := range l.vars {
+	for i, x := range l.Vars {
 		if dom[x] == 1 {
-			v += l.coef[i]
+			v += l.Coef[i]
 		}
 	}
-	switch l.op {
+	switch l.Op {
 	case expr.LE:
-		return v <= l.rhs
+		return v <= l.RHS
 	case expr.GE:
-		return v >= l.rhs
+		return v >= l.RHS
 	default:
-		return v == l.rhs
+		return v == l.RHS
 	}
 }
 
@@ -61,7 +54,7 @@ type varRef struct {
 // constraints — essential for the cardinality groups produced by
 // heavy generalization, which can span hundreds of variables.
 type propagator struct {
-	cons    []lcon
+	cons    []ExplainCon
 	varCons [][]varRef // variable -> terms containing it
 	dom     []int8
 	trail   []int32
@@ -78,7 +71,7 @@ type propagator struct {
 	nAssigns int64
 }
 
-func newPropagator(numVars int, cons []lcon) *propagator {
+func newPropagator(numVars int, cons []ExplainCon) *propagator {
 	p := &propagator{
 		cons:    cons,
 		varCons: make([][]varRef, numVars),
@@ -95,9 +88,9 @@ func newPropagator(numVars int, cons []lcon) *propagator {
 	}
 	for ci := range cons {
 		c := &cons[ci]
-		for ti, v := range c.vars {
+		for ti, v := range c.Vars {
 			p.varCons[v] = append(p.varCons[v], varRef{ci: int32(ci), ti: int32(ti)})
-			cf := c.coef[ti]
+			cf := c.Coef[ti]
 			if cf > 0 {
 				p.maxAct[ci] += cf
 				if cf > p.maxPos[ci] {
@@ -110,7 +103,7 @@ func newPropagator(numVars int, cons []lcon) *propagator {
 				}
 			}
 		}
-		p.free[ci] = int32(len(c.vars))
+		p.free[ci] = int32(len(c.Vars))
 	}
 	return p
 }
@@ -126,7 +119,7 @@ func (p *propagator) undo(mark int) {
 		val := p.dom[v]
 		p.dom[v] = -1
 		for _, r := range p.varCons[v] {
-			cf := p.cons[r.ci].coef[r.ti]
+			cf := p.cons[r.ci].Coef[r.ti]
 			p.unapply(r.ci, cf, val)
 		}
 	}
@@ -195,7 +188,7 @@ func (p *propagator) assign(v int32, val int8) {
 	p.dom[v] = val
 	p.trail = append(p.trail, v)
 	for _, r := range p.varCons[v] {
-		cf := p.cons[r.ci].coef[r.ti]
+		cf := p.cons[r.ci].Coef[r.ti]
 		p.apply(r.ci, cf, val)
 		p.enqueue(r.ci)
 	}
@@ -231,12 +224,12 @@ func (p *propagator) drain() bool {
 func (p *propagator) check(ci int32) bool {
 	c := &p.cons[ci]
 	minAct, maxAct := p.minAct[ci], p.maxAct[ci]
-	needLE := c.op == expr.LE || c.op == expr.EQ
-	needGE := c.op == expr.GE || c.op == expr.EQ
-	if needLE && minAct > c.rhs {
+	needLE := c.Op == expr.LE || c.Op == expr.EQ
+	needGE := c.Op == expr.GE || c.Op == expr.EQ
+	if needLE && minAct > c.RHS {
 		return false
 	}
-	if needGE && maxAct < c.rhs {
+	if needGE && maxAct < c.RHS {
 		return false
 	}
 	if p.free[ci] == 0 {
@@ -245,32 +238,32 @@ func (p *propagator) check(ci int32) bool {
 	// Forcing is only possible when some coefficient could push the
 	// activity past the bound; these O(1) tests skip the scan in the
 	// common satisfied case.
-	scanLE := needLE && (minAct+p.maxPos[ci] > c.rhs || minAct+p.maxNeg[ci] > c.rhs)
-	scanGE := needGE && (maxAct-p.maxPos[ci] < c.rhs || maxAct-p.maxNeg[ci] < c.rhs)
+	scanLE := needLE && (minAct+p.maxPos[ci] > c.RHS || minAct+p.maxNeg[ci] > c.RHS)
+	scanGE := needGE && (maxAct-p.maxPos[ci] < c.RHS || maxAct-p.maxNeg[ci] < c.RHS)
 	if !scanLE && !scanGE {
 		return true
 	}
-	for i, v := range c.vars {
+	for i, v := range c.Vars {
 		if p.dom[v] != -1 {
 			continue
 		}
-		cf := c.coef[i]
+		cf := c.Coef[i]
 		if scanLE {
-			if cf > 0 && minAct+cf > c.rhs {
+			if cf > 0 && minAct+cf > c.RHS {
 				p.assign(v, 0)
 				continue
 			}
-			if cf < 0 && minAct-cf > c.rhs {
+			if cf < 0 && minAct-cf > c.RHS {
 				p.assign(v, 1)
 				continue
 			}
 		}
 		if scanGE {
-			if cf > 0 && maxAct-cf < c.rhs {
+			if cf > 0 && maxAct-cf < c.RHS {
 				p.assign(v, 1)
 				continue
 			}
-			if cf < 0 && maxAct+cf < c.rhs {
+			if cf < 0 && maxAct+cf < c.RHS {
 				p.assign(v, 0)
 				continue
 			}

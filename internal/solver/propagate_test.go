@@ -7,8 +7,8 @@ import (
 	"licm/internal/expr"
 )
 
-func lconsOf(numVars int, cons ...expr.Constraint) []lcon {
-	out := make([]lcon, len(cons))
+func lconsOf(numVars int, cons ...expr.Constraint) []ExplainCon {
+	out := make([]ExplainCon, len(cons))
 	identity := func(v expr.Var) int32 { return int32(v) }
 	for i, c := range cons {
 		out[i] = toLcon(c, identity)
@@ -19,8 +19,8 @@ func lconsOf(numVars int, cons ...expr.Constraint) []lcon {
 func TestToLconFoldsConstant(t *testing.T) {
 	c := expr.NewConstraint(expr.Sum(0, 1).AddConst(3), expr.LE, 5)
 	l := toLcon(c, func(v expr.Var) int32 { return int32(v) })
-	if l.rhs != 2 {
-		t.Fatalf("rhs = %d, want 2", l.rhs)
+	if l.RHS != 2 {
+		t.Fatalf("rhs = %d, want 2", l.RHS)
 	}
 }
 
@@ -179,18 +179,18 @@ func TestQuickIncrementalActivitiesMatchRescan(t *testing.T) {
 				c := &p.cons[ci]
 				var wantMin, wantMax int64
 				var wantFree int32
-				for k, v := range c.vars {
+				for k, v := range c.Vars {
 					switch p.dom[v] {
 					case 1:
-						wantMin += c.coef[k]
-						wantMax += c.coef[k]
+						wantMin += c.Coef[k]
+						wantMax += c.Coef[k]
 					case 0:
 					default:
 						wantFree++
-						if c.coef[k] > 0 {
-							wantMax += c.coef[k]
+						if c.Coef[k] > 0 {
+							wantMax += c.Coef[k]
 						} else {
-							wantMin += c.coef[k]
+							wantMin += c.Coef[k]
 						}
 					}
 				}

@@ -93,17 +93,80 @@ func TestWitnessBudgetExhaustedStat(t *testing.T) {
 
 // TestCancelBetweenComponentsKeepsProvenBounds: cancellation striking
 // after some components finished must keep their proven per-component
-// bounds on the snapshot board, and the board interval must still
+// bounds on the run record, and the record's interval must still
 // contain the true optimum.
 func TestCancelBetweenComponentsKeepsProvenBounds(t *testing.T) {
 	// Three independent 7x7 permutation blocks with random weights:
 	// each needs thousands of DFS nodes, so ctrl polls fire while later
 	// blocks are still open.
-	k := 7
+	const k = 7
+	p := permutationBlocks(k, 3, 9)
+
+	exact, err := Maximize(context.Background(), p, DefaultOptions())
+	if err != nil || !exact.Proven {
+		t.Fatalf("reference solve: err=%v proven=%v", err, exact.Proven)
+	}
+
+	opts := DefaultOptions()
+	opts.UseLP = false
+	// Component 0 (block 0) is searched first, exactly as when it is
+	// solved alone, so its ctrl-batch hit count is the hit index of
+	// component 1's first flush: cancel there.
+	block0 := permutationBlocks(k, 1, 9)
+	counting := faultinject.With(context.Background(), faultinject.Plan{Site: faultinject.CtrlBatch, Hit: -1})
+	if _, err := Maximize(counting, block0, opts); err != nil {
+		t.Fatal(err)
+	}
+	firstOfComp1 := faultinject.From(counting).Hits(faultinject.CtrlBatch)
+	rec := &ExplainRecorder{}
+	opts.Explain = rec
+	ctx := faultinject.With(context.Background(),
+		faultinject.Plan{Site: faultinject.CtrlBatch, Hit: firstOfComp1, Action: faultinject.Cancel})
+	res, err := Maximize(ctx, p, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Stats.Canceled {
+		t.Fatal("Stats.Canceled not set")
+	}
+	if res.Proven {
+		t.Error("canceled solve reported proven")
+	}
+	runs := rec.Runs()
+	if len(runs) != 1 || len(runs[0].Components) != 3 {
+		t.Fatalf("record: runs=%d, want 1 run with 3 components", len(runs))
+	}
+	provenComps := 0
+	for ci, cs := range runs[0].Components {
+		if cs.Solved && cs.HasIncumbent && cs.UpperBound == cs.Incumbent {
+			provenComps++
+		}
+		if cs.HasIncumbent && cs.Incumbent > cs.UpperBound {
+			t.Errorf("component %d: incumbent %d above bound %d", ci, cs.Incumbent, cs.UpperBound)
+		}
+	}
+	if provenComps == 0 {
+		t.Error("no component kept a proven (incumbent == bound) record")
+	}
+	lo, hi, hasLo, ok := rec.Interval(0)
+	if !ok || !hasLo {
+		t.Fatalf("record interval unavailable: ok=%v hasLo=%v", ok, hasLo)
+	}
+	if lo > exact.Value || hi < exact.Value {
+		t.Errorf("record interval [%d,%d] excludes true optimum %d", lo, hi, exact.Value)
+	}
+}
+
+// permutationBlocks builds blocks independent k x k permutation blocks
+// (every row and every column picks exactly one cell) with random cell
+// weights drawn from seed. Each block is one component; the blocks are
+// numbered and weighted in order, so the first b blocks of a larger
+// instance are exactly permutationBlocks(k, b, seed).
+func permutationBlocks(k, blocks int, seed int64) *Problem {
 	var cons []expr.Constraint
 	var terms []expr.Term
-	r := rand.New(rand.NewSource(9))
-	for b := 0; b < 3; b++ {
+	r := rand.New(rand.NewSource(seed))
+	for b := 0; b < blocks; b++ {
 		base := b * k * k
 		idx := func(i, j int) expr.Var { return expr.Var(base + k*i + j) }
 		for i := 0; i < k; i++ {
@@ -122,61 +185,7 @@ func TestCancelBetweenComponentsKeepsProvenBounds(t *testing.T) {
 			}
 		}
 	}
-	p := &Problem{NumVars: 3 * k * k, Constraints: cons, Objective: expr.NewLin(0, terms...)}
-
-	exact, err := Maximize(context.Background(), p, DefaultOptions())
-	if err != nil || !exact.Proven {
-		t.Fatalf("reference solve: err=%v proven=%v", err, exact.Proven)
-	}
-
-	opts := DefaultOptions()
-	opts.UseLP = false
-	// Component 0 (block 0) is searched first, exactly as when it is
-	// solved alone, so its ctrl-batch hit count is the hit index of
-	// component 1's first flush: cancel there.
-	block0 := &Problem{NumVars: k * k, Constraints: cons[:2*k], Objective: expr.NewLin(0, terms[:k*k]...)}
-	counting := faultinject.With(context.Background(), faultinject.Plan{Site: faultinject.CtrlBatch, Hit: -1})
-	if _, err := Maximize(counting, block0, opts); err != nil {
-		t.Fatal(err)
-	}
-	firstOfComp1 := faultinject.From(counting).Hits(faultinject.CtrlBatch)
-	board := &SnapshotBoard{}
-	opts.Snapshots = board
-	ctx := faultinject.With(context.Background(),
-		faultinject.Plan{Site: faultinject.CtrlBatch, Hit: firstOfComp1, Action: faultinject.Cancel})
-	res, err := Maximize(ctx, p, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Stats.Canceled {
-		t.Fatal("Stats.Canceled not set")
-	}
-	if res.Proven {
-		t.Error("canceled solve reported proven")
-	}
-	_, comps, ok := board.Components()
-	if !ok || len(comps) != 3 {
-		t.Fatalf("board: ok=%v comps=%d, want 3", ok, len(comps))
-	}
-	provenComps := 0
-	for ci, cs := range comps {
-		if cs.Done && cs.HasIncumbent && cs.UpperBound == cs.Incumbent {
-			provenComps++
-		}
-		if cs.HasIncumbent && cs.Incumbent > cs.UpperBound {
-			t.Errorf("component %d: incumbent %d above bound %d", ci, cs.Incumbent, cs.UpperBound)
-		}
-	}
-	if provenComps == 0 {
-		t.Error("no component kept a proven (incumbent == bound) snapshot")
-	}
-	lo, hi, hasLo, ok := board.Interval()
-	if !ok || !hasLo {
-		t.Fatalf("board interval unavailable: ok=%v hasLo=%v", ok, hasLo)
-	}
-	if lo > exact.Value || hi < exact.Value {
-		t.Errorf("board interval [%d,%d] excludes true optimum %d", lo, hi, exact.Value)
-	}
+	return &Problem{NumVars: blocks * k * k, Constraints: cons, Objective: expr.NewLin(0, terms...)}
 }
 
 // TestOrderSeedPreservesOptimum: the deterministic branching-order

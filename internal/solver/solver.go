@@ -32,20 +32,13 @@ func solve(ctx context.Context, p *Problem, opts Options, minimized bool) (res R
 		obs.Str("sense", sense),
 		obs.Int("vars", p.NumVars),
 		obs.Int("cons", len(p.Constraints)))
-	rec := opts.Explain
-	runIdx := -1
-	if rec != nil {
-		runIdx = rec.start(sense)
-		// Registered first, so it runs after the stats defer below has
-		// filled TotalTime/Canceled/memory into res.Stats.
-		defer func() { rec.finish(runIdx, &res, err) }()
-	}
-	crec := opts.Certify
-	certIdx := -1
-	if crec != nil {
-		certIdx = crec.start(sense)
-		defer func() { crec.finish(certIdx, &res, err) }()
-	}
+	// The record is always written; Options.Explain only decides
+	// whether the caller keeps it.
+	rec := recorderFor(opts)
+	run := rec.start(sense)
+	// Registered first, so it runs after the stats defer below has
+	// filled TotalTime/Canceled/memory into res.Stats.
+	defer func() { rec.finish(run, &res, err) }()
 	mp := startMemProbe(opts.Metrics != nil || tr.Enabled())
 	defer func() {
 		res.Stats.TotalTime = time.Since(start)
@@ -159,7 +152,7 @@ func solve(ctx context.Context, p *Problem, opts Options, minimized bool) (res R
 	// Root presolve over the kept constraints.
 	phaseStart = time.Now()
 	sp = root.Start("solver.presolve")
-	lcons := make([]lcon, len(kept))
+	lcons := make([]ExplainCon, len(kept))
 	identity := func(v expr.Var) int32 { return int32(v) }
 	for i, c := range kept {
 		lcons[i] = toLcon(c, identity)
@@ -216,25 +209,6 @@ func solve(ctx context.Context, p *Problem, opts Options, minimized bool) (res R
 	if opts.Metrics != nil {
 		opts.Metrics.Gauge("solver.components").Set(int64(len(comps)))
 	}
-	if rec != nil {
-		rec.setPrune(runIdx, &res.Stats)
-	}
-
-	// Register the snapshot board before any search work, so an
-	// anytime interval is available from the first moment a fault can
-	// strike: base is the constant-plus-presolve value, each
-	// component's initial bound the sum of its positive coefficients.
-	if opts.Snapshots != nil {
-		ubs := make([]int64, len(comps))
-		for ci, cm := range comps {
-			for _, v := range cm.vars {
-				if c := objCoef[v]; c > 0 {
-					ubs[ci] += c
-				}
-			}
-		}
-		opts.Snapshots.register(total, ubs)
-	}
 
 	sp = root.Start("solver.search", obs.Int("components", len(comps)))
 	endSearch := func() {
@@ -261,28 +235,17 @@ func solve(ctx context.Context, p *Problem, opts Options, minimized bool) (res R
 		budget = &b
 	}
 	bound := total
-	if crec != nil {
-		// Base is everything the components do not account for: the
-		// objective constant plus presolve-fixed contributions. The
-		// verifier checks Base + sum(component values) == Value.
-		crec.setBase(certIdx, total)
+	// Project every component and register the projections before any
+	// search work, so an anytime interval is available from the first
+	// moment a fault can strike. The base is everything the components
+	// do not account for: the objective constant plus presolve-fixed
+	// contributions.
+	slots := make([]ExplainComp, len(comps))
+	for ci, cm := range comps {
+		slots[ci] = project(ci, cm, lcons, objCoef, prop.dom)
 	}
-	// The projected matrices are shared by explain (fingerprints) and
-	// certification (proof trees).
-	var ecomps []ExplainComp
-	if rec != nil || crec != nil {
-		ecomps = buildExplainComps(comps, lcons, objCoef, prop.dom)
-	}
-	if rec != nil {
-		rec.registerComponents(runIdx, ecomps)
-	}
-	results := solveAll(comps, lcons, objCoef, prop.dom, p.Derived, opts, budget, kc, rec, runIdx)
-	if crec != nil {
-		// Certification is a post-search pass over the projected
-		// matrices and outcomes: it never touches live search state,
-		// so a certifying solve explores exactly the same tree.
-		crec.certify(certIdx, ecomps, results, kc.injector())
-	}
+	rec.register(run, &res.Stats, total, slots)
+	results := solveAll(rec, comps, slots, p.Derived, opts, budget, kc)
 	for ci, cr := range results {
 		res.Stats.Nodes += cr.nodes
 		res.Stats.LPSolves += cr.lpSolves
@@ -333,20 +296,16 @@ func solve(ctx context.Context, p *Problem, opts Options, minimized bool) (res R
 	return res, nil
 }
 
-// solveAll solves every component, sequentially or with a worker pool
-// when opts.Workers > 1. A panic on any worker is captured, remaining
-// components are abandoned, and the first panic is re-thrown (as a
-// *CompPanic) once every worker has stopped — so a dying component can
-// never strand the pool.
-func solveAll(comps []component, lcons []lcon, objCoef map[expr.Var]int64, globalDom []int8, derived []bool, opts Options, budget *int64, kc *ctrl, rec *ExplainRecorder, runIdx int) []compResult {
+// solveAll solves every component on its record slot, sequentially or
+// with a worker pool when opts.Workers > 1. A panic on any worker is
+// captured, remaining components are abandoned, and the first panic is
+// re-thrown (as a *CompPanic) once every worker has stopped — so a
+// dying component can never strand the pool.
+func solveAll(rec *ExplainRecorder, comps []component, slots []ExplainComp, derived []bool, opts Options, budget *int64, kc *ctrl) []compResult {
 	results := make([]compResult, len(comps))
 	if opts.Workers <= 1 || len(comps) <= 1 {
 		for ci, cm := range comps {
-			t0 := explainTimer(rec)
-			results[ci] = solveOneGuarded(ci, cm, lcons, objCoef, globalDom, derived, opts, budget, kc)
-			if rec != nil {
-				rec.recordComp(runIdx, ci, results[ci], time.Since(t0).Nanoseconds())
-			}
+			results[ci] = solveOneGuarded(rec, &slots[ci], cm.vars, derived, opts, budget, kc)
 		}
 		return results
 	}
@@ -398,11 +357,7 @@ func solveAll(comps []component, lcons []lcon, objCoef map[expr.Var]int64, globa
 					local := perComp
 					b = &local
 				}
-				t0 := explainTimer(rec)
-				results[ci] = solveOneGuarded(ci, comps[ci], lcons, objCoef, globalDom, derived, opts, b, kc)
-				if rec != nil {
-					rec.recordComp(runIdx, ci, results[ci], time.Since(t0).Nanoseconds())
-				}
+				results[ci] = solveOneGuarded(rec, &slots[ci], comps[ci].vars, derived, opts, b, kc)
 			}
 		}()
 	}
@@ -413,46 +368,58 @@ func solveAll(comps []component, lcons []lcon, objCoef map[expr.Var]int64, globa
 	return results
 }
 
-// solveOne extracts and solves a single component. ci is the
-// component's slot on the solve's SnapshotBoard (-1 when the work is
-// not board-tracked, e.g. witness completion).
-func solveOne(ci int, cm component, lcons []lcon, objCoef map[expr.Var]int64, globalDom []int8, derived []bool, opts Options, budget *int64, kc *ctrl) compResult {
-	n := len(cm.vars)
-	local := make(map[expr.Var]int32, n)
-	for i, v := range cm.vars {
-		local[v] = int32(i)
-	}
-	// Fold globally-fixed variables out of the component's constraints.
-	cons := make([]lcon, 0, len(cm.cons))
-	for _, ci := range cm.cons {
-		src := &lcons[ci]
-		lc := lcon{op: src.op, rhs: src.rhs}
-		for k, v := range src.vars {
-			switch globalDom[v] {
-			case 1:
-				lc.rhs -= src.coef[k]
-			case 0:
-				// drop
-			default:
-				lc.vars = append(lc.vars, local[expr.Var(v)])
-				lc.coef = append(lc.coef, src.coef[k])
-			}
-		}
-		cons = append(cons, lc)
-	}
-	obj := make([]int64, n)
-	for i, v := range cm.vars {
-		obj[i] = objCoef[v]
-	}
+// solveOne solves the projected component slot (whose variables are
+// vars, in local-id order) and records its outcome and solve time on
+// it.
+func solveOne(rec *ExplainRecorder, slot *ExplainComp, vars []expr.Var, derived []bool, opts Options, budget *int64, kc *ctrl) compResult {
+	start := time.Now()
 	var der []bool
 	if derived != nil {
-		der = make([]bool, n)
-		for i, v := range cm.vars {
+		der = make([]bool, len(vars))
+		for i, v := range vars {
 			der[i] = derived[v]
 		}
 	}
-	prop := newPropagator(n, cons)
-	return solveComp(ci, n, cons, obj, der, prop, opts, budget, kc)
+	cr := solveComp(rec, slot, der, opts, budget, kc)
+	rec.recordComp(slot, cr, time.Since(start).Nanoseconds())
+	return cr
+}
+
+// CompPanic wraps a panic raised while solving one component, so a
+// recovery boundary (internal/super) can attribute the fault to the
+// offending component instead of losing it in a bare panic value. The
+// solver itself never recovers panics into errors — it re-panics the
+// wrapped value, preserving crash semantics for callers that do not
+// install a boundary.
+type CompPanic struct {
+	// Component is the index of the component whose search panicked
+	// (the same index ExplainComp records use).
+	Component int
+	// Value is the original panic value.
+	Value any
+	// Stack is the stack captured at the recovery point.
+	Stack []byte
+}
+
+// Error summarizes the panic; *CompPanic satisfies error so recovery
+// boundaries can wrap it uniformly.
+func (p *CompPanic) Error() string {
+	return fmt.Sprintf("solver: panic in component %d: %v", p.Component, p.Value)
+}
+
+// solveOneGuarded is solveOne with panic attribution: any panic below
+// it is re-thrown wrapped in a *CompPanic carrying the component index
+// (unless it already is one).
+func solveOneGuarded(rec *ExplainRecorder, slot *ExplainComp, vars []expr.Var, derived []bool, opts Options, budget *int64, kc *ctrl) compResult {
+	defer func() {
+		if r := recover(); r != nil {
+			if _, ok := r.(*CompPanic); ok {
+				panic(r)
+			}
+			panic(&CompPanic{Component: slot.Index, Value: r, Stack: debug.Stack()})
+		}
+	}()
+	return solveOne(rec, slot, vars, derived, opts, budget, kc)
 }
 
 // component groups free variables connected through constraints, plus
@@ -553,11 +520,14 @@ func mergeComponents(comps []component) component {
 // pruned constraints are provably unsatisfiable (making the entire
 // problem infeasible).
 func completeWitness(numVars int, dropped []expr.Constraint, assign []uint8, opts Options) (ok, infeasible bool) {
-	lcons := make([]lcon, len(dropped))
+	lcons := make([]ExplainCon, len(dropped))
 	identity := func(v expr.Var) int32 { return int32(v) }
 	for i, c := range dropped {
 		lcons[i] = toLcon(c, identity)
 	}
+	// Witness searches write to a record of their own: their values
+	// never move the objective, so they must not reach the run's.
+	scratch := &ExplainRecorder{}
 	prop := newPropagator(numVars, lcons)
 	if !prop.propagateAll() {
 		return false, true
@@ -578,7 +548,7 @@ func completeWitness(numVars int, dropped []expr.Constraint, assign []uint8, opt
 		inDropped := make([]bool, numVars)
 		var order []int32
 		for i := range lcons {
-			for _, v := range lcons[i].vars {
+			for _, v := range lcons[i].Vars {
 				if !inDropped[v] {
 					inDropped[v] = true
 					order = append(order, v)
@@ -593,6 +563,8 @@ func completeWitness(numVars int, dropped []expr.Constraint, assign []uint8, opt
 			obj:         make([]int64, numVars),
 			prop:        prop,
 			opts:        opts,
+			rec:         scratch,
+			slot:        &ExplainComp{},
 			budget:      &b,
 			stopAtFirst: true,
 			feasOnly:    true,
@@ -619,16 +591,14 @@ func completeWitness(numVars int, dropped []expr.Constraint, assign []uint8, opt
 	comps := decompose(numVars, dropped, free, noObj)
 	wopts := opts
 	wopts.UseLP = false
-	// Witness components have no board slots: their values never move
-	// the objective, so publishing them would corrupt the interval.
-	wopts.Snapshots = nil
 	// Witness work is deliberately not attached to the solve's ctrl:
 	// its nodes do not count toward Stats.Nodes, so live counters
 	// would drift from the reported totals. Each dive is budgeted, so
 	// cancellation latency stays bounded anyway.
-	for _, cm := range comps {
+	for ci, cm := range comps {
 		b := witnessNodeBudget(opts)
-		cr := solveOne(-1, cm, lcons, nil, prop.dom, nil, wopts, &b, nil)
+		slot := project(ci, cm, lcons, nil, prop.dom)
+		cr := solveOne(scratch, &slot, cm.vars, nil, wopts, &b, nil)
 		if !cr.feasible {
 			return false, cr.proven
 		}

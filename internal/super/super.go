@@ -7,13 +7,14 @@
 //
 //  1. Exact — both solves finished and proved their optima.
 //  2. ProvenInterval — the budget or deadline ran out (or a solve
-//     died), but per-component incumbent/bound snapshots still yield a
-//     proven outer interval containing the true answer.
+//     died), but the solve's per-component record of incumbents and
+//     bounds still yields a proven outer interval containing the true
+//     answer.
 //  3. Sampled — no feasible incumbent exists for some side; a
 //     Monte-Carlo estimate (internal/mc) is reported with explicitly
 //     non-proven status.
 //  4. Failed — nothing usable could be produced (e.g. no sampler was
-//     configured and the solve produced no snapshots).
+//     configured and the solve's record yields no interval).
 //
 // Solver panics are recovered at the supervisor boundary into
 // structured errors naming the offending component; a panicked solve
@@ -71,10 +72,13 @@ func (q Quality) String() string {
 
 // Config controls a supervised solve.
 type Config struct {
-	// Solver holds the base solver options. The supervisor owns
-	// Snapshots and — on retry — OrderSeed; everything else passes
-	// through. Trace/Metrics, when set, also receive the supervisor's
-	// own events and counters (super.*).
+	// Solver holds the base solver options. Every attempt records on
+	// Solver.Explain — a recorder of the supervisor's own when it is
+	// nil — and the supervisor reads each cut-short attempt's anytime
+	// interval from the run it opened there. On retry the supervisor
+	// owns OrderSeed; everything else passes through. Trace/Metrics,
+	// when set, also receive the supervisor's own events and counters
+	// (super.*).
 	Solver solver.Options
 	// Sample, if non-nil, is the degraded-mode fallback: it returns the
 	// lowest and highest objective values observed over sampled worlds
@@ -148,6 +152,9 @@ func Bounds(ctx context.Context, p *solver.Problem, cfg Config) Outcome {
 	sp := tr.Start("super.solve",
 		obs.Int("vars", p.NumVars),
 		obs.Int("cons", len(p.Constraints)))
+	if cfg.Solver.Explain == nil {
+		cfg.Solver.Explain = &solver.ExplainRecorder{}
+	}
 	s := &run{ctx: ctx, cfg: cfg, p: p, tr: tr, reg: reg}
 	out := Outcome{}
 	out.Max = s.side(true)
@@ -229,35 +236,35 @@ type run struct {
 	sampleElapsed time.Duration
 }
 
-// side runs the degradation ladder for one direction and, when an
-// explain recorder is attached, stamps the side's final quality onto
-// every run it recorded for this sense (retries included) — the
-// explain layer's only window into the ladder's verdict.
+// side runs the degradation ladder for one direction and stamps the
+// side's final quality onto every run it recorded for this sense
+// (retries included) — the explain layer's only window into the
+// ladder's verdict.
 func (s *run) side(maximize bool) Side {
 	name := "min"
 	if maximize {
 		name = "max"
 	}
 	sd := s.ladder(name, maximize)
-	if rec := s.cfg.Solver.Explain; rec != nil {
-		rec.TagSense(name, sd.Quality.String())
-	}
+	s.cfg.Solver.Explain.TagSense(name, sd.Quality.String())
 	return sd
 }
 
 // ladder is the degradation ladder proper.
 func (s *run) ladder(name string, maximize bool) Side {
 	opts := s.cfg.Solver
-	board := &solver.SnapshotBoard{}
-	opts.Snapshots = board
+	rec := opts.Explain
+	// attempt is the run the latest solve attempt opens on rec; a
+	// skipped side opens none, so its interval lookup finds nothing.
+	attempt := rec.Len()
 
 	var res solver.Result
 	var err error
 	var pan *solver.CompPanic
 	if s.ctx.Err() != nil {
 		// The deadline was spent before this side started: skip the
-		// solve entirely (the board stays unregistered, so the ladder
-		// falls straight to the sampled fallback).
+		// solve entirely (no run is recorded, so the ladder falls
+		// straight to the sampled fallback).
 		err = fmt.Errorf("super: %s side skipped: %w", name, s.ctx.Err())
 	} else {
 		res, err, pan = guardedSolve(s.ctx, s.p, opts, maximize)
@@ -265,28 +272,21 @@ func (s *run) ladder(name string, maximize bool) Side {
 			s.recordPanic(name, pan)
 			// One retry with a perturbed branching order: a crash tied
 			// to one exploration path should not be replayed verbatim.
-			// A fresh board keeps retry snapshots from mixing with the
-			// dead solve's.
+			// The retry opens a run of its own and the interval is read
+			// from that run, so it never mixes with the dead solve's.
 			s.retries++
 			if s.reg != nil {
 				s.reg.Counter("super.retries").Inc()
 			}
 			s.tr.Event("super.retry", obs.Str("side", name), obs.Int("component", pan.Component))
 			opts.OrderSeed = s.retrySeed()
-			retryBoard := &solver.SnapshotBoard{}
-			opts.Snapshots = retryBoard
+			attempt = rec.Len()
 			var pan2 *solver.CompPanic
 			res, err, pan2 = guardedSolve(s.ctx, s.p, opts, maximize)
 			if pan2 != nil {
 				s.recordPanic(name, pan2)
-				pan = pan2
-				// Keep whichever board got further; the retry board is
-				// at least registered if the first one was.
-				board = retryBoard
-			} else {
-				pan = nil
-				board = retryBoard
 			}
+			pan = pan2
 		}
 	}
 
@@ -315,10 +315,11 @@ func (s *run) ladder(name string, maximize bool) Side {
 	if pan != nil {
 		err = pan
 	}
-	// Assemble the anytime interval from the board. Board values are
-	// in the internal maximization sense; Minimize negates the
-	// objective, so the min side negates and swaps the ends.
-	if lo, hi, hasLo, ok := board.Interval(); ok && hasLo {
+	// Assemble the anytime interval from the attempt's run record.
+	// Its values are in the internal maximization sense; Minimize
+	// negates the objective, so the min side negates and swaps the
+	// ends.
+	if lo, hi, hasLo, ok := rec.Interval(attempt); ok && hasLo {
 		sd := Side{Quality: ProvenInterval, Err: err}
 		if maximize {
 			sd.Lo, sd.Hi = lo, hi

@@ -357,8 +357,6 @@ func (cfg Config) groundTruth(newEnc func() *encode.Encoded, sp Spec, rec *Recor
 	if cfg.ExactRefMaxVars > 0 && encRef.DB.NumVars() <= cfg.ExactRefMaxVars {
 		refOpts := cfg.Solver
 		refOpts.Explain = nil
-		refOpts.Certify = nil
-		refOpts.Snapshots = nil
 		refOpts.Trace = nil
 		refOpts.Metrics = nil
 		if res, err := core.Bounds(encRef.DB, objRef, refOpts); err == nil && res.MinProven && res.MaxProven {

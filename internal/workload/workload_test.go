@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	"licm/internal/explain"
@@ -40,6 +41,57 @@ func testSpecs(t *testing.T, n int) []Spec {
 		}
 	}
 	return specs
+}
+
+// sharedSpecs is the length of the shared run. The spec stream is
+// prefix-stable, so its records start with those of every shorter
+// testSpecs run.
+const sharedSpecs = 8
+
+// shared is the one Execute of testSpecs(t, sharedSpecs) that the tests
+// which only read a run share: three of its eight specs are Query-3
+// searches that take seconds each, so one run instead of one per test
+// is most of the package's test time. Its config attaches an external
+// census and an OnRecord hook, which observe the run without changing
+// it.
+var shared struct {
+	once     sync.Once
+	done     chan struct{}
+	run      *Run
+	err      error
+	census   *explain.Census
+	streamed []string
+}
+
+// startShared starts the shared run in the background, once. The heavy
+// tests that do not read it call it first and are declared before the
+// tests that do, so the run overlaps their own Executes: tests run
+// sequentially in declaration order, and the package's wall time is
+// the longer of the two lanes instead of their sum.
+func startShared() {
+	shared.once.Do(func() {
+		shared.done = make(chan struct{})
+		go func() {
+			defer close(shared.done)
+			cfg := testConfig()
+			shared.census = explain.NewCensus()
+			cfg.Census = shared.census
+			cfg.OnRecord = func(r *Record) { shared.streamed = append(shared.streamed, r.Name) }
+			shared.run, shared.err = Execute(cfg, GenerateSpecs(sharedSpecs, 7, 1000, 40))
+		}()
+	})
+}
+
+// sharedRun waits for the shared run and returns it. Callers must not
+// modify it.
+func sharedRun(t *testing.T) *Run {
+	t.Helper()
+	startShared()
+	<-shared.done
+	if shared.err != nil {
+		t.Fatalf("Execute: %v", shared.err)
+	}
+	return shared.run
 }
 
 func TestGenerateSpecsDeterministicAndDiverse(t *testing.T) {
@@ -94,13 +146,83 @@ func TestReadSpecsRejects(t *testing.T) {
 	}
 }
 
-func TestExecuteScoresAndValidates(t *testing.T) {
+// stripTimings zeroes every wall-clock figure so two runs of the same
+// seeded workload can be compared for determinism.
+func stripTimings(run *Run) {
+	for i := range run.Records {
+		run.Records[i].LatencyNs = 0
+	}
+	if run.Summary != nil {
+		run.Summary.WallNs = 0
+		run.Summary.LatencyP50Ns = 0
+		run.Summary.LatencyP95Ns = 0
+		run.Summary.LatencyP99Ns = 0
+	}
+}
+
+func TestExecuteDeterministic(t *testing.T) {
+	startShared()
 	cfg := testConfig()
-	specs := testSpecs(t, 8)
-	run, err := Execute(cfg, specs)
+	specs := testSpecs(t, 5)
+	a, err := Execute(cfg, specs)
 	if err != nil {
 		t.Fatalf("Execute: %v", err)
 	}
+	b, err := Execute(cfg, specs)
+	if err != nil {
+		t.Fatalf("Execute: %v", err)
+	}
+	stripTimings(a)
+	stripTimings(b)
+	if !reflect.DeepEqual(a, b) {
+		t.Fatal("two runs of the same seeded workload differ beyond timings")
+	}
+}
+
+// TestExecuteRemoteLyingAnswer: a remote claiming exact quality with
+// wrong bounds is flagged by the local ground-truth cross-check — the
+// gate cannot be fooled.
+func TestExecuteRemoteLyingAnswer(t *testing.T) {
+	startShared()
+	cfg := testConfig()
+	cfg.Answer = func(sp Spec) (*Answer, error) {
+		return &Answer{Quality: "exact", Lb: 999_999, Ub: 999_999, LatencyNs: 1}, nil
+	}
+	lying, err := Execute(cfg, testSpecs(t, 3))
+	if err != nil {
+		t.Fatalf("lying remote Execute: %v", err)
+	}
+	if lying.Summary.Violations == 0 {
+		t.Fatal("lying remote scored no violations")
+	}
+}
+
+// TestExecuteRemoteSampledAnswer: a remote claiming only sampled
+// quality is never held to proven semantics, however wrong its
+// estimate.
+func TestExecuteRemoteSampledAnswer(t *testing.T) {
+	startShared()
+	cfg := testConfig()
+	cfg.Answer = func(sp Spec) (*Answer, error) {
+		return &Answer{Quality: "sampled", Lb: -5, Ub: -1, LatencyNs: 1}, nil
+	}
+	sampled, err := Execute(cfg, testSpecs(t, 3))
+	if err != nil {
+		t.Fatalf("sampled remote Execute: %v", err)
+	}
+	for i := range sampled.Records {
+		if sampled.Records[i].Proven {
+			t.Errorf("record %s: sampled remote answer marked proven", sampled.Records[i].Name)
+		}
+	}
+	if sampled.Summary.Violations != 0 {
+		t.Fatalf("unproven sampled answers scored %d violations", sampled.Summary.Violations)
+	}
+}
+
+func TestExecuteScoresAndValidates(t *testing.T) {
+	specs := testSpecs(t, sharedSpecs)
+	run := sharedRun(t)
 	if err := run.Validate(); err != nil {
 		t.Fatalf("run does not validate: %v", err)
 	}
@@ -145,47 +267,10 @@ func TestExecuteScoresAndValidates(t *testing.T) {
 	}
 }
 
-// stripTimings zeroes every wall-clock figure so two runs of the same
-// seeded workload can be compared for determinism.
-func stripTimings(run *Run) {
-	for i := range run.Records {
-		run.Records[i].LatencyNs = 0
-	}
-	if run.Summary != nil {
-		run.Summary.WallNs = 0
-		run.Summary.LatencyP50Ns = 0
-		run.Summary.LatencyP95Ns = 0
-		run.Summary.LatencyP99Ns = 0
-	}
-}
-
-func TestExecuteDeterministic(t *testing.T) {
-	cfg := testConfig()
-	specs := testSpecs(t, 5)
-	a, err := Execute(cfg, specs)
-	if err != nil {
-		t.Fatalf("Execute: %v", err)
-	}
-	b, err := Execute(cfg, specs)
-	if err != nil {
-		t.Fatalf("Execute: %v", err)
-	}
-	stripTimings(a)
-	stripTimings(b)
-	if !reflect.DeepEqual(a, b) {
-		t.Fatal("two runs of the same seeded workload differ beyond timings")
-	}
-}
-
 func TestExecuteFeedsCensus(t *testing.T) {
-	cfg := testConfig()
-	cfg.Census = explain.NewCensus()
-	specs := testSpecs(t, 4)
-	run, err := Execute(cfg, specs)
-	if err != nil {
-		t.Fatalf("Execute: %v", err)
-	}
-	cs := cfg.Census.Summarize(0)
+	specs := testSpecs(t, sharedSpecs)
+	run := sharedRun(t)
+	cs := shared.census.Summarize(0)
 	if cs.Queries != len(specs) {
 		t.Errorf("census saw %d queries, want %d", cs.Queries, len(specs))
 	}
@@ -210,14 +295,8 @@ func TestExecuteFeedsCensus(t *testing.T) {
 }
 
 func TestOnRecordStreams(t *testing.T) {
-	cfg := testConfig()
-	var streamed []string
-	cfg.OnRecord = func(r *Record) { streamed = append(streamed, r.Name) }
-	specs := testSpecs(t, 3)
-	run, err := Execute(cfg, specs)
-	if err != nil {
-		t.Fatalf("Execute: %v", err)
-	}
+	run := sharedRun(t)
+	streamed := shared.streamed
 	if len(streamed) != len(run.Records) {
 		t.Fatalf("OnRecord fired %d times for %d records", len(streamed), len(run.Records))
 	}
@@ -247,14 +326,7 @@ func TestQError(t *testing.T) {
 }
 
 func TestReadRunRejects(t *testing.T) {
-	valid := func() *Run {
-		cfg := testConfig()
-		run, err := Execute(cfg, testSpecs(t, 2))
-		if err != nil {
-			t.Fatalf("Execute: %v", err)
-		}
-		return run
-	}()
+	valid := sharedRun(t)
 	var buf bytes.Buffer
 	if err := WriteRun(&buf, valid); err != nil {
 		t.Fatalf("WriteRun: %v", err)
@@ -288,12 +360,7 @@ func TestReadRunRejects(t *testing.T) {
 }
 
 func TestDiffRuns(t *testing.T) {
-	cfg := testConfig()
-	specs := testSpecs(t, 3)
-	old, err := Execute(cfg, specs)
-	if err != nil {
-		t.Fatalf("Execute: %v", err)
-	}
+	old := sharedRun(t)
 	clone := func() *Run {
 		var buf bytes.Buffer
 		if err := WriteRun(&buf, old); err != nil {
@@ -390,15 +457,12 @@ func TestDiffRuns(t *testing.T) {
 
 // TestExecuteRemoteAnswer covers the Answer hook behind licmload
 // -target: measured answers come from the hook, ground truth and
-// scoring stay local, and a remote that lies about proven bounds is
-// caught by the local consistency checks.
+// scoring stay local, an honest remote scores clean, and a transport
+// failure fails the run.
 func TestExecuteRemoteAnswer(t *testing.T) {
 	cfg := testConfig()
 	specs := testSpecs(t, 3)
-	local, err := Execute(cfg, specs)
-	if err != nil {
-		t.Fatalf("local Execute: %v", err)
-	}
+	local := sharedRun(t)
 
 	// An honest remote echoing the local answers scores clean.
 	byID := map[int]*Record{}
@@ -430,39 +494,6 @@ func TestExecuteRemoteAnswer(t *testing.T) {
 		if err := rr.Validate(); err != nil {
 			t.Errorf("record %s: %v", rr.Name, err)
 		}
-	}
-
-	// A remote claiming exact quality with wrong bounds is flagged by
-	// the local ground-truth cross-check — the gate cannot be fooled.
-	lcfg := cfg
-	lcfg.Answer = func(sp Spec) (*Answer, error) {
-		return &Answer{Quality: "exact", Lb: 999_999, Ub: 999_999, LatencyNs: 1}, nil
-	}
-	lying, err := Execute(lcfg, specs)
-	if err != nil {
-		t.Fatalf("lying remote Execute: %v", err)
-	}
-	if lying.Summary.Violations == 0 {
-		t.Fatal("lying remote scored no violations")
-	}
-
-	// A remote claiming only sampled quality is never held to proven
-	// semantics, however wrong its estimate.
-	scfg := cfg
-	scfg.Answer = func(sp Spec) (*Answer, error) {
-		return &Answer{Quality: "sampled", Lb: -5, Ub: -1, LatencyNs: 1}, nil
-	}
-	sampled, err := Execute(scfg, specs)
-	if err != nil {
-		t.Fatalf("sampled remote Execute: %v", err)
-	}
-	for i := range sampled.Records {
-		if sampled.Records[i].Proven {
-			t.Errorf("record %s: sampled remote answer marked proven", sampled.Records[i].Name)
-		}
-	}
-	if sampled.Summary.Violations != 0 {
-		t.Fatalf("unproven sampled answers scored %d violations", sampled.Summary.Violations)
 	}
 
 	// A remote transport failure fails the run loudly.
