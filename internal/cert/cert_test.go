@@ -108,6 +108,58 @@ func TestRoundTripVerify(t *testing.T) {
 	}
 }
 
+// TestVerifyReusedComponents: a component the solve did not search,
+// because an earlier component of the run had the same matrix, carries
+// that component's outcome and witness; its certificate verifies like
+// any other, and the values still add up to the solver's.
+func TestVerifyReusedComponents(t *testing.T) {
+	// Three copies of one "at most two of four, one of the first two"
+	// block, then a block with other weights.
+	var cons []expr.Constraint
+	obj := expr.Lin{}
+	for b, w := range [][4]int64{{3, 1, 4, 1}, {3, 1, 4, 1}, {3, 1, 4, 1}, {2, 7, 1, 8}} {
+		lo := expr.Var(4 * b)
+		cons = append(cons,
+			expr.NewConstraint(expr.Sum(lo, lo+1, lo+2, lo+3), expr.LE, 2),
+			expr.NewConstraint(expr.Sum(lo, lo+1), expr.GE, 1))
+		for i, c := range w {
+			obj = obj.AddTerm(lo+expr.Var(i), c)
+		}
+	}
+	p := &solver.Problem{NumVars: 16, Constraints: cons, Objective: obj}
+	rec := &solver.ExplainRecorder{}
+	opts := solver.DefaultOptions()
+	opts.Explain = rec
+	minRes, maxRes, err := solver.Bounds(context.Background(), p, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, run := range rec.Runs() {
+		for ci, c := range run.Components {
+			if reused := ci == 1 || ci == 2; c.Reused != reused {
+				t.Fatalf("%s run component %d: Reused = %v, want %v", run.Sense, ci, c.Reused, reused)
+			}
+		}
+	}
+	certs, err := cert.Build("q", "row", 2, solver.Certify(context.Background(), rec))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]int64{"max": maxRes.Value, "min": -minRes.Value}
+	for i, c := range certs {
+		v, err := cert.Verify(c)
+		if err != nil {
+			t.Fatalf("certificate %d rejected: %v", i, err)
+		}
+		if !v.Proven || v.Verified != 4 || len(v.Skipped) != 0 {
+			t.Fatalf("certificate %d verdict %+v, want 4 verified components", i, v)
+		}
+		if c.Value != want[c.Sense] {
+			t.Errorf("%s certificate value %d, solver reported %d", c.Sense, c.Value, want[c.Sense])
+		}
+	}
+}
+
 // rejected reports whether a mutant fails the strict read or the
 // verifier — every deliberate corruption must trip at least one gate.
 func rejected(t *testing.T, m cert.Mutant) bool {

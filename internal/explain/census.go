@@ -7,9 +7,10 @@ import (
 )
 
 // Census accumulates component fingerprints across a workload of
-// explain reports and answers the question the ROADMAP's component
-// solve cache hinges on: how often do structurally identical
-// components recur, and how much solve time would a cache save? It
+// explain reports and answers how often structurally alike components
+// recur across queries, and how much solve time a cache shared by the
+// queries could save (the solver already searches a repeat within one
+// solve only once, see solver.ExplainComp.Reused). It
 // tracks distinct-vs-total counts, a recurrence histogram, cumulative
 // per-fingerprint cost, and can simulate an LRU cache of any capacity
 // over the observed access sequence.

@@ -4,8 +4,7 @@
 // component list with canonical fingerprints, and per-component
 // search attribution. Reports serialize as JSONL and feed the
 // workload-level component census (census.go), which measures how
-// often structurally identical components recur across a workload —
-// the empirical case for the ROADMAP's component solve cache.
+// often structurally alike components recur across a workload.
 package explain
 
 import (
@@ -77,24 +76,31 @@ type Run struct {
 type Component struct {
 	Index int `json:"index"`
 	// Fingerprint is the canonical hash of the projected constraint
-	// matrix plus objective (see Fingerprint) — the key a component
-	// solve cache would use.
-	Fingerprint  string `json:"fingerprint"`
-	Vars         int    `json:"vars"`
-	Cons         int    `json:"cons"`
-	Solved       bool   `json:"solved"`
-	Nodes        int64  `json:"nodes"`
-	LPSolves     int64  `json:"lp_solves"`
-	Propagations int64  `json:"propagations"`
-	SolveNs      int64  `json:"solve_ns"`
-	LPNs         int64  `json:"lp_ns"`
-	Feasible     bool   `json:"feasible"`
-	Proven       bool   `json:"proven"`
+	// matrix plus objective (see Fingerprint): it groups components
+	// that are equal up to a renumbering of their variables, the
+	// recurrence the census counts across queries.
+	Fingerprint string `json:"fingerprint"`
+	Vars        int    `json:"vars"`
+	Cons        int    `json:"cons"`
+	Solved      bool   `json:"solved"`
+	// Reused marks a component the solve did not search because an
+	// earlier component of the same run had an equal matrix, objective
+	// and derived flags: it carries that component's outcome and
+	// counts, with its own near-zero solve_ns and lp_ns 0.
+	Reused       bool  `json:"reused,omitempty"`
+	Nodes        int64 `json:"nodes"`
+	LPSolves     int64 `json:"lp_solves"`
+	Propagations int64 `json:"propagations"`
+	SolveNs      int64 `json:"solve_ns"`
+	LPNs         int64 `json:"lp_ns"`
+	Feasible     bool  `json:"feasible"`
+	Proven       bool  `json:"proven"`
 }
 
 // Build assembles a Report from a recorder's runs. The recorder may
 // be nil or empty (returns an empty, still-valid report), and stays
-// untouched — call rec.Reset() between queries when reusing one.
+// untouched; it holds every run solved on it, so use one recorder per
+// query.
 func Build(query string, rec *solver.ExplainRecorder) *Report {
 	rep := &Report{Schema: Schema, Query: query}
 	runs := rec.Runs()
@@ -140,6 +146,7 @@ func Build(query string, rec *solver.ExplainRecorder) *Report {
 				Vars:         c.Vars,
 				Cons:         len(c.Cons),
 				Solved:       c.Solved,
+				Reused:       c.Reused,
 				Nodes:        c.Nodes,
 				LPSolves:     c.LPSolves,
 				Propagations: c.Propagations,

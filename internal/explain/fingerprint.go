@@ -16,10 +16,15 @@ import (
 // whenever some renumbering of the variables maps one's constraint
 // multiset and objective onto the other's — i.e. the fingerprint is
 // invariant under tuple/variable permutation and constraint
-// reordering, the canonical form the ROADMAP's component solve cache
-// will key on. The objective participates deliberately: a min run's
-// negated objective yields a different fingerprint, matching the fact
-// that a cached max solve cannot answer a min query.
+// reordering, the form the census counts recurrence by. The objective
+// participates deliberately: a min run's negated objective yields a
+// different fingerprint, since a max solve cannot answer a min query.
+//
+// It is not a key for reusing a solved outcome: the search breaks
+// branching ties by variable id, so two renumbered copies can take
+// different node counts, and refinement ties (below) can give
+// matrices that differ one fingerprint. The solver's within-solve
+// reuse compares matrices exactly instead.
 //
 // Variables are ranked by Weisfeiler-Lehman-style signature
 // refinement over the variable/constraint incidence graph (seeded

@@ -115,7 +115,16 @@ type ExplainComp struct {
 
 	// Search attribution and outcome, filled when the component's
 	// search returns; zero (with Solved false) when it never did.
+	//
+	// Reused marks a component whose matrix, objective and derived
+	// flags equal an earlier component's of the same run: the solve did
+	// not search it again but gave it that component's outcome,
+	// witness and counts (Nodes, LPSolves, Propagations, which the
+	// run's totals include), since the search would have repeated them
+	// exactly. Its SolveNs is the near-zero time of taking them, and
+	// its LPNs 0.
 	Solved       bool
+	Reused       bool
 	Nodes        int64
 	LPSolves     int64
 	Propagations int64
@@ -299,6 +308,20 @@ func (r *ExplainRecorder) recordComp(c *ExplainComp, cr compResult, solveNs int6
 	r.mu.Unlock()
 }
 
+// recordCopy fills component c's record from rep, an earlier component
+// of the same solve whose search c repeats exactly: rep's live bound,
+// outcome, witness and counts, c's own solve time, no LP time, and the
+// Reused mark.
+func (r *ExplainRecorder) recordCopy(c, rep *ExplainComp, solveNs int64) {
+	r.mu.Lock()
+	c.UpperBound, c.Incumbent, c.HasIncumbent = rep.UpperBound, rep.Incumbent, rep.HasIncumbent
+	c.Solved, c.Reused = true, true
+	c.Nodes, c.LPSolves, c.Propagations = rep.Nodes, rep.LPSolves, rep.Propagations
+	c.SolveNs, c.LPNs = solveNs, 0
+	c.Feasible, c.Proven, c.Best, c.Bound, c.Witness = rep.Feasible, rep.Proven, rep.Best, rep.Bound, rep.Witness
+	r.mu.Unlock()
+}
+
 // finish closes the run with the solve's final result and error.
 func (r *ExplainRecorder) finish(run int, res *Result, err error) {
 	r.mu.Lock()
@@ -331,42 +354,54 @@ func (r *ExplainRecorder) finish(run int, res *Result, err error) {
 	r.mu.Unlock()
 }
 
-// project returns component cm's record with its constraints and
-// objective projected into local variable ids, globally-fixed
+// projectAll returns each component's record with its constraints
+// and objective projected into local variable ids, globally-fixed
 // variables folded into the right-hand sides. It is the one
-// projection: the search solves the returned matrix as is, so the
+// projection: the search solves the returned matrices as is, so the
 // explain fingerprint and the certificates name exactly the matrix
-// that was solved.
-func project(ci int, cm component, lcons []ExplainCon, objCoef map[expr.Var]int64, globalDom []int8) ExplainComp {
-	ec := ExplainComp{Index: ci, Vars: len(cm.vars)}
-	local := make(map[expr.Var]int32, len(cm.vars))
-	for j, v := range cm.vars {
-		local[v] = int32(j)
+// that was solved. Components are disjoint, so one position table
+// serves them all.
+func projectAll(comps []component, lcons []ExplainCon, objCoef []int64, globalDom []int8) []ExplainComp {
+	local := make([]int32, len(globalDom))
+	for _, cm := range comps {
+		for j, v := range cm.vars {
+			local[v] = int32(j)
+		}
 	}
-	ec.Cons = make([]ExplainCon, 0, len(cm.cons))
-	for _, row := range cm.cons {
-		src := &lcons[row]
-		con := ExplainCon{Op: src.Op, RHS: src.RHS}
-		for k, v := range src.Vars {
-			switch globalDom[v] {
-			case 1:
-				con.RHS -= src.Coef[k]
-			case 0:
-				// contributes nothing
-			default:
-				con.Vars = append(con.Vars, local[expr.Var(v)])
-				con.Coef = append(con.Coef, src.Coef[k])
+	out := make([]ExplainComp, len(comps))
+	for ci, cm := range comps {
+		ec := ExplainComp{Index: ci, Vars: len(cm.vars)}
+		ec.Cons = make([]ExplainCon, 0, len(cm.cons))
+		for _, row := range cm.cons {
+			src := &lcons[row]
+			con := ExplainCon{
+				Vars: make([]int32, 0, len(src.Vars)),
+				Coef: make([]int64, 0, len(src.Vars)),
+				Op:   src.Op,
+				RHS:  src.RHS,
+			}
+			for k, v := range src.Vars {
+				switch globalDom[v] {
+				case 1:
+					con.RHS -= src.Coef[k]
+				case 0:
+					// contributes nothing
+				default:
+					con.Vars = append(con.Vars, local[v])
+					con.Coef = append(con.Coef, src.Coef[k])
+				}
+			}
+			ec.Cons = append(ec.Cons, con)
+		}
+		ec.Obj = make([]int64, len(cm.vars))
+		for j, v := range cm.vars {
+			c := objCoef[v]
+			ec.Obj[j] = c
+			if c > 0 {
+				ec.UpperBound += c
 			}
 		}
-		ec.Cons = append(ec.Cons, con)
+		out[ci] = ec
 	}
-	ec.Obj = make([]int64, len(cm.vars))
-	for j, v := range cm.vars {
-		c := objCoef[v]
-		ec.Obj[j] = c
-		if c > 0 {
-			ec.UpperBound += c
-		}
-	}
-	return ec
+	return out
 }

@@ -173,6 +173,14 @@ func DefaultOptions() Options {
 // The per-phase wall-clock durations split the solve the same way the
 // paper's Figure 6 splits L-solve, so optimization claims can cite
 // where the time actually went.
+//
+// Nodes, LPSolves and Propagations count the search every component
+// takes, including the components the solve did not search again
+// because an earlier component of the same solve had an equal matrix,
+// objective and derived flags (ExplainComp.Reused): such a copy counts
+// its representative's work, which searching it would have repeated
+// exactly. They are therefore the same with or without that reuse;
+// only the time falls.
 type Stats struct {
 	VarsBefore      int
 	ConsBefore      int

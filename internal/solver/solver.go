@@ -2,6 +2,7 @@ package solver
 
 import (
 	"context"
+	"encoding/binary"
 	"fmt"
 	"runtime/debug"
 	"sort"
@@ -37,8 +38,21 @@ func solve(ctx context.Context, p *Problem, opts Options, minimized bool) (res R
 	rec := recorderFor(opts)
 	run := rec.start(sense)
 	// Registered first, so it runs after the stats defer below has
-	// filled TotalTime/Canceled/memory into res.Stats.
-	defer func() { rec.finish(run, &res, err) }()
+	// filled TotalTime/Canceled/memory into res.Stats. While a panic
+	// unwinds, res and err still read as a clean proven solve: the run
+	// is closed as unproven with the panic as its error, and the panic
+	// carries on unchanged to the caller's boundary.
+	defer func() {
+		if r := recover(); r != nil {
+			perr, ok := r.(error)
+			if !ok {
+				perr = fmt.Errorf("solver: panic: %v", r)
+			}
+			rec.finish(run, &res, perr)
+			panic(r)
+		}
+		rec.finish(run, &res, err)
+	}()
 	mp := startMemProbe(opts.Metrics != nil || tr.Enabled())
 	defer func() {
 		res.Stats.TotalTime = time.Since(start)
@@ -126,8 +140,10 @@ func solve(ctx context.Context, p *Problem, opts Options, minimized bool) (res R
 	sp = root.Start("solver.prune", obs.Bool("enabled", opts.Prune))
 	kept := p.Constraints
 	var dropped []expr.Constraint
+	var reach []bool
 	if opts.Prune {
 		pr := Prune(p.NumVars, p.Constraints, p.Objective)
+		reach = pr.Reachable
 		kept = make([]expr.Constraint, 0, len(pr.KeptConstraints))
 		di := 0
 		for i, c := range p.Constraints {
@@ -149,15 +165,20 @@ func solve(ctx context.Context, p *Problem, opts Options, minimized bool) (res R
 		obs.Int("kept_vars", res.Stats.VarsAfterPrune),
 		obs.Int("kept_cons", res.Stats.ConsAfterPrune))
 
-	// Root presolve over the kept constraints.
+	// Root presolve over the kept constraints. From here on variables
+	// carry dense ids 0..n-1 over what pruning kept, in store-id order,
+	// so every array is sized to what the query reaches; ids maps them
+	// back to the store.
 	phaseStart = time.Now()
 	sp = root.Start("solver.presolve")
+	ids, pos := denseIDs(p.NumVars, reach, res.Stats.VarsAfterPrune)
+	n := len(ids)
 	lcons := make([]ExplainCon, len(kept))
-	identity := func(v expr.Var) int32 { return int32(v) }
+	dense := func(v expr.Var) int32 { return pos[v] }
 	for i, c := range kept {
-		lcons[i] = toLcon(c, identity)
+		lcons[i] = toLcon(c, dense)
 	}
-	prop := newPropagator(p.NumVars, lcons)
+	prop := newPropagator(n, lcons)
 	feasible := prop.propagateAll()
 	res.Stats.FixedByPresolve = len(prop.trail)
 	res.Stats.Propagations = prop.nAssigns
@@ -171,35 +192,35 @@ func solve(ctx context.Context, p *Problem, opts Options, minimized bool) (res R
 	}
 
 	// Objective bookkeeping: constant + contribution of fixed
-	// variables; remaining terms feed component objectives.
+	// variables; the free variables' coefficients feed component
+	// objectives.
 	total := p.Objective.Const()
-	objCoef := make(map[expr.Var]int64, p.Objective.Len())
-	inObjective := make([]bool, p.NumVars)
+	objCoef := make([]int64, n)
 	for _, t := range p.Objective.Terms() {
-		switch prop.dom[t.Var] {
+		v := pos[t.Var]
+		switch prop.dom[v] {
 		case 1:
 			total += t.Coef
 		case 0:
 			// contributes nothing
 		default:
-			objCoef[t.Var] = t.Coef
-			inObjective[t.Var] = true
+			objCoef[v] = t.Coef
 		}
 	}
-	for v := 0; v < p.NumVars; v++ {
+	for v, id := range ids {
 		if prop.dom[v] == 1 {
-			res.Assignment[v] = 1
+			res.Assignment[id] = 1
 		}
 	}
 
 	// Decompose into connected components over free variables.
 	searchStart := time.Now()
 	sp = root.Start("solver.decompose", obs.Bool("enabled", opts.Decompose))
-	free := make([]bool, p.NumVars)
-	for v := 0; v < p.NumVars; v++ {
+	free := make([]bool, n)
+	for v := range free {
 		free[v] = prop.dom[v] == -1
 	}
-	comps := decompose(p.NumVars, kept, free, inObjective)
+	comps := decompose(n, lcons, free, objCoef)
 	if !opts.Decompose && len(comps) > 1 {
 		// Decomposition ablation: search everything as one component.
 		comps = []component{mergeComponents(comps)}
@@ -240,12 +261,9 @@ func solve(ctx context.Context, p *Problem, opts Options, minimized bool) (res R
 	// moment a fault can strike. The base is everything the components
 	// do not account for: the objective constant plus presolve-fixed
 	// contributions.
-	slots := make([]ExplainComp, len(comps))
-	for ci, cm := range comps {
-		slots[ci] = project(ci, cm, lcons, objCoef, prop.dom)
-	}
+	slots := projectAll(comps, lcons, objCoef, prop.dom)
 	rec.register(run, &res.Stats, total, slots)
-	results := solveAll(rec, comps, slots, p.Derived, opts, budget, kc)
+	results := solveAll(rec, slots, compDerived(comps, ids, p.Derived), opts, budget, kc)
 	for ci, cr := range results {
 		res.Stats.Nodes += cr.nodes
 		res.Stats.LPSolves += cr.lpSolves
@@ -264,7 +282,7 @@ func solve(ctx context.Context, p *Problem, opts Options, minimized bool) (res R
 		}
 		for i, v := range comps[ci].vars {
 			if cr.assign[i] == 1 {
-				res.Assignment[v] = 1
+				res.Assignment[ids[v]] = 1
 			}
 		}
 	}
@@ -297,15 +315,45 @@ func solve(ctx context.Context, p *Problem, opts Options, minimized bool) (res R
 }
 
 // solveAll solves every component on its record slot, sequentially or
-// with a worker pool when opts.Workers > 1. A panic on any worker is
-// captured, remaining components are abandoned, and the first panic is
-// re-thrown (as a *CompPanic) once every worker has stopped — so a
-// dying component can never strand the pool.
-func solveAll(rec *ExplainRecorder, comps []component, slots []ExplainComp, derived []bool, opts Options, budget *int64, kc *ctrl) []compResult {
-	results := make([]compResult, len(comps))
-	if opts.Workers <= 1 || len(comps) <= 1 {
-		for ci, cm := range comps {
-			results[ci] = solveOneGuarded(rec, &slots[ci], cm.vars, derived, opts, budget, kc)
+// with a worker pool when opts.Workers > 1, and searches each distinct
+// component once: a component whose matrix, objective and derived
+// flags equal an earlier one's (see classes) repeats that search
+// exactly, so it takes the earlier outcome instead.
+//
+// Sequentially, a repeat takes the earlier outcome only when that one
+// is proven, the solve is not canceled, and the shared budget still
+// holds the nodes the earlier search drew from it; the draw is then
+// charged, so every budget-limited answer is the one searching the
+// repeat would give. On the pool each component has a budget of its
+// own, so workers search one component per class and the repeats take
+// its outcome once the pool returns.
+//
+// A panic on any worker is captured, remaining components are
+// abandoned, and the first panic is re-thrown (as a *CompPanic) once
+// every worker has stopped — so a dying component can never strand the
+// pool.
+func solveAll(rec *ExplainRecorder, slots []ExplainComp, derived [][]bool, opts Options, budget *int64, kc *ctrl) []compResult {
+	results := make([]compResult, len(slots))
+	first := classes(slots, derived)
+	if opts.Workers <= 1 || len(slots) <= 1 {
+		draws := make([]int64, len(slots))
+		for ci := range slots {
+			if r := first[ci]; r != ci && results[r].proven && !kc.isCanceled() &&
+				(budget == nil || *budget >= draws[r]) {
+				if budget != nil {
+					*budget -= draws[r]
+				}
+				results[ci] = reuse(rec, &slots[ci], &slots[r], results[r], kc)
+				continue
+			}
+			var before int64
+			if budget != nil {
+				before = *budget
+			}
+			results[ci] = solveOneGuarded(rec, &slots[ci], derived[ci], opts, budget, kc)
+			if budget != nil {
+				draws[ci] = before - *budget
+			}
 		}
 		return results
 	}
@@ -315,14 +363,20 @@ func solveAll(rec *ExplainRecorder, comps []component, slots []ExplainComp, deri
 	// a pool whose workers have panicked.
 	var perComp int64
 	if budget != nil {
-		perComp = *budget / int64(len(comps))
+		perComp = *budget / int64(len(slots))
 		if perComp < 1000 {
 			perComp = 1000
 		}
 	}
+	var todo []int
+	for ci, r := range first {
+		if r == ci {
+			todo = append(todo, ci)
+		}
+	}
 	workers := opts.Workers
-	if workers > len(comps) {
-		workers = len(comps)
+	if workers > len(todo) {
+		workers = len(todo)
 	}
 	var wg sync.WaitGroup
 	var nextIdx atomic.Int64
@@ -348,16 +402,17 @@ func solveAll(rec *ExplainRecorder, comps []component, slots []ExplainComp, deri
 				}
 			}()
 			for {
-				ci := int(nextIdx.Add(1) - 1)
-				if ci >= len(comps) || panicked.Load() {
+				i := int(nextIdx.Add(1) - 1)
+				if i >= len(todo) || panicked.Load() {
 					return
 				}
+				ci := todo[i]
 				var b *int64
 				if budget != nil {
 					local := perComp
 					b = &local
 				}
-				results[ci] = solveOneGuarded(rec, &slots[ci], comps[ci].vars, derived, opts, b, kc)
+				results[ci] = solveOneGuarded(rec, &slots[ci], derived[ci], opts, b, kc)
 			}
 		}()
 	}
@@ -365,21 +420,87 @@ func solveAll(rec *ExplainRecorder, comps []component, slots []ExplainComp, deri
 	if firstPanic != nil {
 		panic(firstPanic)
 	}
+	for ci, r := range first {
+		if r != ci {
+			results[ci] = reuse(rec, &slots[ci], &slots[r], results[r], kc)
+		}
+	}
 	return results
 }
 
-// solveOne solves the projected component slot (whose variables are
-// vars, in local-id order) and records its outcome and solve time on
-// it.
-func solveOne(rec *ExplainRecorder, slot *ExplainComp, vars []expr.Var, derived []bool, opts Options, budget *int64, kc *ctrl) compResult {
-	start := time.Now()
-	var der []bool
-	if derived != nil {
-		der = make([]bool, len(vars))
-		for i, v := range vars {
-			der[i] = derived[v]
+// classes returns, for every component, the index of the first
+// component of the solve whose search it repeats exactly, or its own
+// index when there is none. The search is a deterministic function of
+// the options and searchKey's inputs, and equal keys mean equal
+// inputs: the map only buckets by hash, and key equality decides.
+// (explain.Fingerprint is no such key: it is invariant under
+// renumbering, but the search breaks branching ties by variable id,
+// and its refinement ties can merge matrices that differ.)
+func classes(slots []ExplainComp, derived [][]bool) []int {
+	first := make([]int, len(slots))
+	seen := make(map[string]int, len(slots))
+	var key []byte
+	for ci := range slots {
+		key = appendSearchKey(key[:0], &slots[ci], derived[ci])
+		r, ok := seen[string(key)]
+		if !ok {
+			r = ci
+			seen[string(key)] = ci
+		}
+		first[ci] = r
+	}
+	return first
+}
+
+// appendSearchKey appends a component's search inputs — variable
+// count, objective, derived flags and constraint rows — to b as
+// self-delimiting varints, so that two keys are equal exactly when
+// the inputs are.
+func appendSearchKey(b []byte, ec *ExplainComp, der []bool) []byte {
+	b = binary.AppendVarint(b, int64(ec.Vars))
+	for _, o := range ec.Obj {
+		b = binary.AppendVarint(b, o)
+	}
+	b = binary.AppendVarint(b, int64(len(der)))
+	for _, d := range der {
+		if d {
+			b = append(b, 1)
+		} else {
+			b = append(b, 0)
 		}
 	}
+	for i := range ec.Cons {
+		c := &ec.Cons[i]
+		b = binary.AppendVarint(b, int64(c.Op))
+		b = binary.AppendVarint(b, c.RHS)
+		b = binary.AppendVarint(b, int64(len(c.Vars)))
+		for k, v := range c.Vars {
+			b = binary.AppendVarint(b, int64(v))
+			b = binary.AppendVarint(b, c.Coef[k])
+		}
+	}
+	return b
+}
+
+// reuse gives slot the outcome cr of rep, an earlier component whose
+// search slot repeats exactly: rep's result, record and counts (which
+// also reach the live counters), slot's own time. It makes no
+// fault-site hit.
+func reuse(rec *ExplainRecorder, slot, rep *ExplainComp, cr compResult, kc *ctrl) compResult {
+	start := time.Now()
+	if kc != nil {
+		kc.add(cr.nodes, cr.lpSolves, cr.props)
+	}
+	cr.lpNs = 0
+	rec.recordCopy(slot, rep, time.Since(start).Nanoseconds())
+	return cr
+}
+
+// solveOne solves the projected component slot and records its outcome
+// and solve time on it. der holds the slot's derived flags in local-id
+// order (nil when the problem has none).
+func solveOne(rec *ExplainRecorder, slot *ExplainComp, der []bool, opts Options, budget *int64, kc *ctrl) compResult {
+	start := time.Now()
 	cr := solveComp(rec, slot, der, opts, budget, kc)
 	rec.recordComp(slot, cr, time.Since(start).Nanoseconds())
 	return cr
@@ -410,7 +531,7 @@ func (p *CompPanic) Error() string {
 // solveOneGuarded is solveOne with panic attribution: any panic below
 // it is re-thrown wrapped in a *CompPanic carrying the component index
 // (unless it already is one).
-func solveOneGuarded(rec *ExplainRecorder, slot *ExplainComp, vars []expr.Var, derived []bool, opts Options, budget *int64, kc *ctrl) compResult {
+func solveOneGuarded(rec *ExplainRecorder, slot *ExplainComp, der []bool, opts Options, budget *int64, kc *ctrl) compResult {
 	defer func() {
 		if r := recover(); r != nil {
 			if _, ok := r.(*CompPanic); ok {
@@ -419,22 +540,54 @@ func solveOneGuarded(rec *ExplainRecorder, slot *ExplainComp, vars []expr.Var, d
 			panic(&CompPanic{Component: slot.Index, Value: r, Stack: debug.Stack()})
 		}
 	}()
-	return solveOne(rec, slot, vars, derived, opts, budget, kc)
+	return solveOne(rec, slot, der, opts, budget, kc)
 }
 
 // component groups free variables connected through constraints, plus
 // the indices of those constraints.
 type component struct {
-	vars []expr.Var
+	vars []int32
 	cons []int
 }
 
-// decompose partitions the free variables into connected components of
-// the variable/constraint graph. Free variables that appear in the
-// objective but in no constraint become singleton components; free
-// variables in neither are omitted entirely.
-func decompose(numVars int, cons []expr.Constraint, free, inObjective []bool) []component {
-	parent := make([]int32, numVars)
+// denseIDs numbers the variables keep marks (every variable when keep
+// is nil) densely in id order; n is how many it marks. ids maps a
+// dense id to its store id, pos a kept store id to its dense id.
+func denseIDs(numVars int, keep []bool, n int) (ids []expr.Var, pos []int32) {
+	ids = make([]expr.Var, 0, n)
+	pos = make([]int32, numVars)
+	for v := range pos {
+		if keep == nil || keep[v] {
+			pos[v] = int32(len(ids))
+			ids = append(ids, expr.Var(v))
+		}
+	}
+	return ids, pos
+}
+
+// compDerived returns each component's derived flags in local-id order
+// (nil entries when the problem marks none); ids maps the components'
+// variables to the store ids derived is indexed by.
+func compDerived(comps []component, ids []expr.Var, derived []bool) [][]bool {
+	out := make([][]bool, len(comps))
+	if derived == nil {
+		return out
+	}
+	for ci, cm := range comps {
+		out[ci] = make([]bool, len(cm.vars))
+		for i, v := range cm.vars {
+			out[ci][i] = derived[ids[v]]
+		}
+	}
+	return out
+}
+
+// decompose partitions the free variables among 0..n-1 into connected
+// components of the variable/constraint graph. Free variables with a
+// non-zero objective coefficient but in no constraint become singleton
+// components; free variables in neither are omitted entirely.
+func decompose(n int, cons []ExplainCon, free []bool, obj []int64) []component {
+	parent := make([]int32, n)
 	for i := range parent {
 		parent[i] = int32(i)
 	}
@@ -452,25 +605,25 @@ func decompose(numVars int, cons []expr.Constraint, free, inObjective []bool) []
 			parent[ra] = rb
 		}
 	}
-	inCons := make([]bool, numVars)
-	for _, c := range cons {
+	inCons := make([]bool, n)
+	for i := range cons {
 		first := int32(-1)
-		for _, t := range c.Lin.Terms() {
-			if !free[t.Var] {
+		for _, v := range cons[i].Vars {
+			if !free[v] {
 				continue
 			}
-			inCons[t.Var] = true
+			inCons[v] = true
 			if first == -1 {
-				first = int32(t.Var)
+				first = v
 			} else {
-				union(first, int32(t.Var))
+				union(first, v)
 			}
 		}
 	}
-	byRoot := make(map[int32]*component)
+	byRoot := make([]*component, n)
 	ordered := make([]*component, 0, 16)
 	compOf := func(root int32) *component {
-		if c, ok := byRoot[root]; ok {
+		if c := byRoot[root]; c != nil {
 			return c
 		}
 		c := &component{}
@@ -478,19 +631,20 @@ func decompose(numVars int, cons []expr.Constraint, free, inObjective []bool) []
 		ordered = append(ordered, c)
 		return c
 	}
-	for v := 0; v < numVars; v++ {
+	for v := int32(0); v < int32(n); v++ {
 		if !free[v] {
 			continue
 		}
-		if !inCons[v] && !inObjective[v] {
+		if !inCons[v] && obj[v] == 0 {
 			continue
 		}
-		compOf(find(int32(v))).vars = append(compOf(find(int32(v))).vars, expr.Var(v))
+		cc := compOf(find(v))
+		cc.vars = append(cc.vars, v)
 	}
-	for ci, c := range cons {
-		for _, t := range c.Lin.Terms() {
-			if free[t.Var] {
-				cc := compOf(find(int32(t.Var)))
+	for ci := range cons {
+		for _, v := range cons[ci].Vars {
+			if free[v] {
+				cc := compOf(find(v))
 				cc.cons = append(cc.cons, ci)
 				break
 			}
@@ -528,6 +682,7 @@ func completeWitness(numVars int, dropped []expr.Constraint, assign []uint8, opt
 	// Witness searches write to a record of their own: their values
 	// never move the objective, so they must not reach the run's.
 	scratch := &ExplainRecorder{}
+	obj := make([]int64, numVars)
 	prop := newPropagator(numVars, lcons)
 	if !prop.propagateAll() {
 		return false, true
@@ -560,7 +715,7 @@ func completeWitness(numVars int, dropped []expr.Constraint, assign []uint8, opt
 		c := &comp{
 			n:           numVars,
 			cons:        lcons,
-			obj:         make([]int64, numVars),
+			obj:         obj,
 			prop:        prop,
 			opts:        opts,
 			rec:         scratch,
@@ -587,8 +742,8 @@ func completeWitness(numVars int, dropped []expr.Constraint, assign []uint8, opt
 	for v := 0; v < numVars; v++ {
 		free[v] = prop.dom[v] == -1
 	}
-	noObj := make([]bool, numVars)
-	comps := decompose(numVars, dropped, free, noObj)
+	comps := decompose(numVars, lcons, free, obj)
+	slots := projectAll(comps, lcons, obj, prop.dom)
 	wopts := opts
 	wopts.UseLP = false
 	// Witness work is deliberately not attached to the solve's ctrl:
@@ -597,8 +752,7 @@ func completeWitness(numVars int, dropped []expr.Constraint, assign []uint8, opt
 	// cancellation latency stays bounded anyway.
 	for ci, cm := range comps {
 		b := witnessNodeBudget(opts)
-		slot := project(ci, cm, lcons, nil, prop.dom)
-		cr := solveOne(scratch, &slot, cm.vars, nil, wopts, &b, nil)
+		cr := solveOne(scratch, &slots[ci], nil, wopts, &b, nil)
 		if !cr.feasible {
 			return false, cr.proven
 		}
