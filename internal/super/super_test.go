@@ -32,6 +32,21 @@ func groupsProblem(nGroups int) *solver.Problem {
 	return &solver.Problem{NumVars: 3 * nGroups, Constraints: cons, Objective: expr.Sum(all...)}
 }
 
+// distinctGroupsProblem is groupsProblem with group g's variables
+// weighted g+1 in the objective. groupsProblem's components are all
+// equal, so a solve searches one and reuses its outcome for the rest;
+// here no two components are equal, each one is searched, and faults
+// reach the batch boundaries of every component.
+func distinctGroupsProblem(nGroups int) *solver.Problem {
+	p := groupsProblem(nGroups)
+	terms := make([]expr.Term, p.NumVars)
+	for v := range terms {
+		terms[v] = expr.Term{Var: expr.Var(v), Coef: int64(v/3 + 1)}
+	}
+	p.Objective = expr.NewLin(0, terms...)
+	return p
+}
+
 // orCountProblem is the LP-path fixture: customer records constrained
 // to [1,2] present per customer, region OR variables as the objective —
 // the fixture family the solver's LP-guided tests use, rebuilt here
@@ -139,12 +154,16 @@ func checkOutcome(t *testing.T, label string, out super.Outcome, refMin, refMax 
 // supervised solve, and require that the supervisor never lets a panic
 // escape and never mislabels a degraded result. Each probe carries its
 // own plan on its own context, so the probes run as parallel subtests.
+// "groups" sweeps the boundaries of many distinct components;
+// "groups-reused" faults the one search whose outcome equal components
+// take over.
 func TestChaosSweep(t *testing.T) {
 	fixtures := []struct {
 		name string
 		p    *solver.Problem
 	}{
-		{"groups", groupsProblem(20)},
+		{"groups", distinctGroupsProblem(20)},
+		{"groups-reused", groupsProblem(20)},
 		{"orcount", orCountProblem(60, 6, 3)},
 	}
 	siteActions := map[faultinject.Site][]faultinject.Action{
