@@ -85,7 +85,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		mcRuns   = fs.Int("mc", 0, "also run naive Monte-Carlo with this many worlds")
 		maxNodes = fs.Int64("maxnodes", 2_000_000, "solver node budget (0 = unlimited)")
 		lpOut    = fs.String("lp", "", "also export the maximization BIP in CPLEX LP format to this file")
-		workers  = fs.Int("workers", 1, "solve independent components with this many workers")
 		vet      = fs.Bool("check", false, "run the static diagnostics pass (internal/check) before solving; a provably infeasible store fails fast with its diagnostics")
 
 		tracePath = fs.String("trace", "", "write a JSON-lines trace of operators, solver phases and MC sampling to this file")
@@ -198,7 +197,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	opts := solver.DefaultOptions()
 	opts.MaxNodes = *maxNodes
-	opts.Workers = *workers
 	opts.Metrics = metrics
 	opts.Check = *vet
 	// -timelimit and -deadline share one context, so the earlier of

@@ -49,7 +49,6 @@ func TestExplainReportRoundTrip(t *testing.T) {
 	p := liveProblem()
 	rec := &solver.ExplainRecorder{}
 	opts := solver.DefaultOptions()
-	opts.Workers = 1 // sequential: component wall times partition the search phase
 	opts.Explain = rec
 	min, max, err := solver.Bounds(context.Background(), p, opts)
 	if err != nil {

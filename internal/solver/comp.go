@@ -8,6 +8,18 @@ import (
 	"licm/internal/simplex"
 )
 
+// Component size caps. A component with more than maxLPVars free
+// variables or maxLPRows constraints skips LP bounding: the dense
+// tableau would be too large, so budgeted DFS searches it instead.
+// oversizeNodes is the node budget a non-trivial component gets when
+// the caller set no MaxNodes; it keeps worst-case instances anytime
+// (reporting proven outer bounds) instead of unbounded.
+const (
+	maxLPVars           = 600
+	maxLPRows           = 1200
+	oversizeNodes int64 = 2_000_000
+)
+
 // comp is one connected component of the variable/constraint graph,
 // with variables renumbered to 0..n-1. It is always solved as a
 // maximization.
@@ -191,14 +203,14 @@ func solveComp(rec *ExplainRecorder, slot *ExplainComp, derived []bool, opts Opt
 	c.buildOrder()
 	c.initObjTrack()
 	nFree := prop.numFree()
-	fitsLP := nFree <= opts.MaxLPVars && (opts.MaxLPRows <= 0 || len(cons) <= opts.MaxLPRows)
+	fitsLP := nFree <= maxLPVars && len(cons) <= maxLPRows
 	useLP := opts.UseLP && nFree > opts.DFSThreshold && fitsLP
-	if budget == nil && opts.OversizeNodes > 0 && nFree > opts.DFSThreshold {
+	if budget == nil && nFree > opts.DFSThreshold {
 		// No caller budget on a non-trivial component: apply the
 		// safety budget so the solve stays anytime (the result is
 		// marked unproven if it trips). Without this, a component
 		// whose LP bound stops pruning could search forever.
-		b := opts.OversizeNodes
+		b := oversizeNodes
 		c.budget = &b
 	}
 	if useLP {

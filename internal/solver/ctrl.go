@@ -20,12 +20,11 @@ const ctrlGranularity = 1024
 const progressInterval = 1 << 16
 
 // ctrl is the shared live-instrumentation and cancellation state of
-// one solve. Components — possibly running on worker goroutines —
-// flush counter deltas into it; it forwards them to the metrics
-// registry, emits the periodic progress event, polls the context, and
-// carries the context's fault injector to the hook sites. A nil *ctrl
-// (instrumentation fully off) costs the hot path a single pointer
-// comparison per node.
+// one solve. Components flush counter deltas into it; it forwards them
+// to the metrics registry, emits the periodic progress event, polls
+// the context, and carries the context's fault injector to the hook
+// sites. A nil *ctrl (instrumentation fully off) costs the hot path a
+// single pointer comparison per node.
 type ctrl struct {
 	ctx    context.Context
 	trace  *obs.Tracer
@@ -125,7 +124,7 @@ func (k *ctrl) add(nodes, lps, props int64) bool {
 
 // maybeEmit emits a solver.progress trace event when at least
 // progressInterval nodes have passed since the previous emission. The
-// CAS elects a single emitter under concurrent workers.
+// CAS lets one caller emit per interval.
 func (k *ctrl) maybeEmit() {
 	total := k.nodes.Load()
 	last := k.lastEmit.Load()

@@ -21,8 +21,7 @@ import (
 // interval of a cut-short attempt from it (Interval), Certify derives
 // proofs from its matrices and witnesses, and package internal/explain
 // builds the licm-explain/1 report and the workload census on top. All
-// methods are safe for concurrent use (components may run on worker
-// goroutines).
+// methods are safe for concurrent use.
 type ExplainRecorder struct {
 	mu   sync.Mutex
 	runs []ExplainRun

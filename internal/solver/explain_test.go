@@ -6,79 +6,75 @@ import (
 )
 
 // TestExplainRecorderMatchesStats is the attribution contract: the
-// per-component records sum exactly to the solve's Stats counters, in
-// both sequential and parallel search.
+// per-component records sum exactly to the solve's Stats counters.
 func TestExplainRecorderMatchesStats(t *testing.T) {
-	for _, workers := range []int{1, 4} {
-		p := hardProblem()
-		rec := &ExplainRecorder{}
-		opts := DefaultOptions()
-		opts.MaxNodes = 50_000
-		opts.Workers = workers
-		opts.Explain = rec
-		res, err := Maximize(context.Background(), p, opts)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
+	p := hardProblem()
+	rec := &ExplainRecorder{}
+	opts := DefaultOptions()
+	opts.MaxNodes = 50_000
+	opts.Explain = rec
+	res, err := Maximize(context.Background(), p, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runs := rec.Runs()
+	if len(runs) != 1 {
+		t.Fatalf("recorded %d runs, want 1", len(runs))
+	}
+	run := runs[0]
+	if run.Sense != "max" {
+		t.Errorf("sense = %q, want max", run.Sense)
+	}
+	st := res.Stats
+	if run.VarsBefore != st.VarsBefore || run.VarsAfterPrune != st.VarsAfterPrune ||
+		run.ConsBefore != st.ConsBefore || run.ConsAfterPrune != st.ConsAfterPrune ||
+		run.FixedByPresolve != st.FixedByPresolve {
+		t.Errorf("prune figures %+v do not match stats %+v", run, st)
+	}
+	if len(run.Components) != st.Components {
+		t.Errorf("recorded %d components, stats say %d", len(run.Components), st.Components)
+	}
+	if run.Nodes != st.Nodes || run.LPSolves != st.LPSolves || run.Propagations != st.Propagations {
+		t.Errorf("run totals (%d,%d,%d) != stats (%d,%d,%d)",
+			run.Nodes, run.LPSolves, run.Propagations, st.Nodes, st.LPSolves, st.Propagations)
+	}
+	var nodes, lps, props, solveNs int64
+	for _, c := range run.Components {
+		if !c.Solved {
+			t.Errorf("component %d not marked solved", c.Index)
 		}
-		runs := rec.Runs()
-		if len(runs) != 1 {
-			t.Fatalf("workers=%d: recorded %d runs, want 1", workers, len(runs))
+		if c.Vars <= 0 || len(c.Cons) == 0 {
+			t.Errorf("component %d has empty matrix (vars=%d cons=%d)", c.Index, c.Vars, len(c.Cons))
 		}
-		run := runs[0]
-		if run.Sense != "max" {
-			t.Errorf("workers=%d: sense = %q, want max", workers, run.Sense)
+		if len(c.Obj) != c.Vars {
+			t.Errorf("component %d objective length %d, vars %d", c.Index, len(c.Obj), c.Vars)
 		}
-		st := res.Stats
-		if run.VarsBefore != st.VarsBefore || run.VarsAfterPrune != st.VarsAfterPrune ||
-			run.ConsBefore != st.ConsBefore || run.ConsAfterPrune != st.ConsAfterPrune ||
-			run.FixedByPresolve != st.FixedByPresolve {
-			t.Errorf("workers=%d: prune figures %+v do not match stats %+v", workers, run, st)
+		if c.LPNs > c.SolveNs {
+			t.Errorf("component %d LP time %d exceeds solve time %d", c.Index, c.LPNs, c.SolveNs)
 		}
-		if len(run.Components) != st.Components {
-			t.Errorf("workers=%d: recorded %d components, stats say %d", workers, len(run.Components), st.Components)
-		}
-		if run.Nodes != st.Nodes || run.LPSolves != st.LPSolves || run.Propagations != st.Propagations {
-			t.Errorf("workers=%d: run totals (%d,%d,%d) != stats (%d,%d,%d)",
-				workers, run.Nodes, run.LPSolves, run.Propagations, st.Nodes, st.LPSolves, st.Propagations)
-		}
-		var nodes, lps, props, solveNs int64
-		for _, c := range run.Components {
-			if !c.Solved {
-				t.Errorf("workers=%d: component %d not marked solved", workers, c.Index)
-			}
-			if c.Vars <= 0 || len(c.Cons) == 0 {
-				t.Errorf("workers=%d: component %d has empty matrix (vars=%d cons=%d)", workers, c.Index, c.Vars, len(c.Cons))
-			}
-			if len(c.Obj) != c.Vars {
-				t.Errorf("workers=%d: component %d objective length %d, vars %d", workers, c.Index, len(c.Obj), c.Vars)
-			}
-			if c.LPNs > c.SolveNs {
-				t.Errorf("workers=%d: component %d LP time %d exceeds solve time %d", workers, c.Index, c.LPNs, c.SolveNs)
-			}
-			nodes += c.Nodes
-			lps += c.LPSolves
-			props += c.Propagations
-			solveNs += c.SolveNs
-		}
-		if nodes != st.Nodes {
-			t.Errorf("workers=%d: component nodes sum %d != stats %d", workers, nodes, st.Nodes)
-		}
-		if lps != st.LPSolves {
-			t.Errorf("workers=%d: component lp_solves sum %d != stats %d", workers, lps, st.LPSolves)
-		}
-		if props != st.Propagations-int64(st.FixedByPresolve) {
-			t.Errorf("workers=%d: component propagations sum %d != stats %d - presolve %d",
-				workers, props, st.Propagations, st.FixedByPresolve)
-		}
-		if solveNs <= 0 {
-			t.Errorf("workers=%d: no component solve time recorded", workers)
-		}
-		if run.TotalNs <= 0 || run.SearchNs <= 0 {
-			t.Errorf("workers=%d: phase durations not recorded: total=%d search=%d", workers, run.TotalNs, run.SearchNs)
-		}
-		if !run.Proven {
-			t.Errorf("workers=%d: proven solve not marked proven in run", workers)
-		}
+		nodes += c.Nodes
+		lps += c.LPSolves
+		props += c.Propagations
+		solveNs += c.SolveNs
+	}
+	if nodes != st.Nodes {
+		t.Errorf("component nodes sum %d != stats %d", nodes, st.Nodes)
+	}
+	if lps != st.LPSolves {
+		t.Errorf("component lp_solves sum %d != stats %d", lps, st.LPSolves)
+	}
+	if props != st.Propagations-int64(st.FixedByPresolve) {
+		t.Errorf("component propagations sum %d != stats %d - presolve %d",
+			props, st.Propagations, st.FixedByPresolve)
+	}
+	if solveNs <= 0 {
+		t.Error("no component solve time recorded")
+	}
+	if run.TotalNs <= 0 || run.SearchNs <= 0 {
+		t.Errorf("phase durations not recorded: total=%d search=%d", run.TotalNs, run.SearchNs)
+	}
+	if !run.Proven {
+		t.Error("proven solve not marked proven in run")
 	}
 }
 
@@ -203,8 +199,8 @@ func TestExplainTagSense(t *testing.T) {
 
 // TestRecordedComponentsReplay: the record keeps exactly the matrix
 // the search solved, so each recorded component, solved alone from its
-// recorded matrix, reproduces the recorded outcome and search effort —
-// sequentially and on a worker pool, with and without LP bounding.
+// recorded matrix, reproduces the recorded outcome and search effort,
+// with and without LP bounding.
 func TestRecordedComponentsReplay(t *testing.T) {
 	cases := []struct {
 		name  string
@@ -216,34 +212,31 @@ func TestRecordedComponentsReplay(t *testing.T) {
 		// Without the LP each block takes hundreds of DFS nodes.
 		{"permutation", permutationBlocks(5, 3, 9), false},
 	}
-	for _, workers := range []int{1, 4} {
-		for _, tc := range cases {
-			opts := DefaultOptions()
-			opts.UseLP = tc.useLP
-			rec := &ExplainRecorder{}
-			wopts := opts
-			wopts.Workers = workers
-			wopts.Explain = rec
-			if _, err := Maximize(context.Background(), tc.p, wopts); err != nil {
-				t.Fatalf("%s workers=%d lp=%v: %v", tc.name, workers, tc.useLP, err)
+	for _, tc := range cases {
+		opts := DefaultOptions()
+		opts.UseLP = tc.useLP
+		rec := &ExplainRecorder{}
+		wopts := opts
+		wopts.Explain = rec
+		if _, err := Maximize(context.Background(), tc.p, wopts); err != nil {
+			t.Fatalf("%s lp=%v: %v", tc.name, tc.useLP, err)
+		}
+		comps := rec.Runs()[0].Components
+		if len(comps) < 2 {
+			t.Fatalf("%s lp=%v: %d components, want several", tc.name, tc.useLP, len(comps))
+		}
+		var nodes int64
+		for _, c := range comps {
+			alone := ExplainComp{Index: c.Index, Vars: c.Vars, Cons: c.Cons, Obj: c.Obj}
+			cr := solveComp(&ExplainRecorder{}, &alone, nil, opts, nil, nil)
+			if cr.best != c.Best || cr.bound != c.Bound || cr.proven != c.Proven || cr.nodes != c.Nodes {
+				t.Errorf("%s lp=%v component %d: alone (best %d, bound %d, proven %v, nodes %d), recorded (%d, %d, %v, %d)",
+					tc.name, tc.useLP, c.Index, cr.best, cr.bound, cr.proven, cr.nodes, c.Best, c.Bound, c.Proven, c.Nodes)
 			}
-			comps := rec.Runs()[0].Components
-			if len(comps) < 2 {
-				t.Fatalf("%s workers=%d lp=%v: %d components, want several", tc.name, workers, tc.useLP, len(comps))
-			}
-			var nodes int64
-			for _, c := range comps {
-				alone := ExplainComp{Index: c.Index, Vars: c.Vars, Cons: c.Cons, Obj: c.Obj}
-				cr := solveComp(&ExplainRecorder{}, &alone, nil, opts, nil, nil)
-				if cr.best != c.Best || cr.bound != c.Bound || cr.proven != c.Proven || cr.nodes != c.Nodes {
-					t.Errorf("%s workers=%d lp=%v component %d: alone (best %d, bound %d, proven %v, nodes %d), recorded (%d, %d, %v, %d)",
-						tc.name, workers, tc.useLP, c.Index, cr.best, cr.bound, cr.proven, cr.nodes, c.Best, c.Bound, c.Proven, c.Nodes)
-				}
-				nodes += c.Nodes
-			}
-			if nodes == 0 {
-				t.Errorf("%s workers=%d lp=%v: no search nodes recorded", tc.name, workers, tc.useLP)
-			}
+			nodes += c.Nodes
+		}
+		if nodes == 0 {
+			t.Errorf("%s lp=%v: no search nodes recorded", tc.name, tc.useLP)
 		}
 	}
 }

@@ -46,34 +46,31 @@ func seqVars(start, n int) []expr.Var {
 // TestObsCountersMatchStats is the integration contract of the live
 // metrics: after a solve, the registry counters equal Result.Stats.
 func TestObsCountersMatchStats(t *testing.T) {
-	for _, workers := range []int{1, 4} {
-		p := hardProblem()
-		reg := obs.NewRegistry()
-		sink := &obs.CollectSink{}
-		opts := DefaultOptions()
-		opts.MaxNodes = 50_000
-		opts.Workers = workers
-		opts.Metrics = reg
-		opts.Trace = obs.New(sink)
-		res, err := Maximize(context.Background(), p, opts)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if res.Stats.Nodes == 0 {
-			t.Fatalf("workers=%d: no nodes explored", workers)
-		}
-		if got := reg.Counter("solver.nodes").Value(); got != res.Stats.Nodes {
-			t.Errorf("workers=%d: counter nodes = %d, stats = %d", workers, got, res.Stats.Nodes)
-		}
-		if got := reg.Counter("solver.lp_solves").Value(); got != res.Stats.LPSolves {
-			t.Errorf("workers=%d: counter lp_solves = %d, stats = %d", workers, got, res.Stats.LPSolves)
-		}
-		if got := reg.Counter("solver.propagations").Value(); got != res.Stats.Propagations {
-			t.Errorf("workers=%d: counter propagations = %d, stats = %d", workers, got, res.Stats.Propagations)
-		}
-		if res.Stats.Propagations == 0 {
-			t.Errorf("workers=%d: propagation count not populated", workers)
-		}
+	p := hardProblem()
+	reg := obs.NewRegistry()
+	sink := &obs.CollectSink{}
+	opts := DefaultOptions()
+	opts.MaxNodes = 50_000
+	opts.Metrics = reg
+	opts.Trace = obs.New(sink)
+	res, err := Maximize(context.Background(), p, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Stats.Nodes == 0 {
+		t.Fatal("no nodes explored")
+	}
+	if got := reg.Counter("solver.nodes").Value(); got != res.Stats.Nodes {
+		t.Errorf("counter nodes = %d, stats = %d", got, res.Stats.Nodes)
+	}
+	if got := reg.Counter("solver.lp_solves").Value(); got != res.Stats.LPSolves {
+		t.Errorf("counter lp_solves = %d, stats = %d", got, res.Stats.LPSolves)
+	}
+	if got := reg.Counter("solver.propagations").Value(); got != res.Stats.Propagations {
+		t.Errorf("counter propagations = %d, stats = %d", got, res.Stats.Propagations)
+	}
+	if res.Stats.Propagations == 0 {
+		t.Error("propagation count not populated")
 	}
 }
 
@@ -400,7 +397,7 @@ func TestMetricsScrapeDuringSolve(t *testing.T) {
 	}
 	f := family(fams, "licm_solver_node_ns")
 	if f == nil || f.Type != "histogram" {
-		t.Fatalf("missing histogram licm_solver_node_ns")
+		t.Fatal("missing histogram licm_solver_node_ns")
 	}
 	if s := f.Sample("_count"); s == nil || int64(s.Value) != snap.Count {
 		t.Errorf("_count = %v, snapshot count = %d", s, snap.Count)

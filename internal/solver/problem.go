@@ -89,44 +89,27 @@ type Options struct {
 	UseLP bool
 	// DFSThreshold is the component size (free variables) at or below
 	// which plain propagation DFS is used instead of LP-based B&B.
+	// Components with more than 600 free variables or 1,200
+	// constraints skip LP bounding too.
 	DFSThreshold int
-	// MaxLPVars is the component size above which LP bounding is
-	// skipped (the dense tableau would be too large) and budgeted DFS
-	// is used instead.
-	MaxLPVars int
-	// MaxLPRows is the constraint-count analogue of MaxLPVars.
-	MaxLPRows int
 	// MaxNodes bounds the total branch-and-bound nodes across all
-	// components; 0 means unlimited. On exhaustion the result is
-	// marked unproven.
+	// components; 0 means unlimited, apart from the safety budget of
+	// 2,000,000 nodes each non-trivial component then gets. On
+	// exhaustion the result is marked unproven.
 	MaxNodes int64
-	// OversizeNodes is the per-component node budget applied to
-	// non-trivial components when MaxNodes is 0; it keeps worst-case
-	// instances anytime (reporting proven outer bounds) instead of
-	// unbounded. 0 disables the safety budget.
-	OversizeNodes int64
 	// CompleteWitness requests a feasible assignment for variables in
 	// components that do not touch the objective (they do not affect
-	// the optimum, but a full witness world needs them).
+	// the optimum, but a full witness world needs them). Each dive of
+	// the completion is capped at 500,000 nodes; when that runs out the
+	// bounds still stand but Assignment is nil and
+	// Stats.WitnessExhausted is set.
 	CompleteWitness bool
-	// WitnessBudget caps the nodes spent per dive while completing a
-	// witness over pruned components; 0 means the default (500000).
-	// When the budget runs out the bounds still stand but Assignment is
-	// nil and Stats.WitnessExhausted is set.
-	WitnessBudget int64
 	// OrderSeed, when non-zero, deterministically perturbs the
 	// branching order (a tie-break jitter on the objective-magnitude
 	// keys). Any order is correct; a supervisor retries a panicked
 	// solve with a fresh seed so a crash tied to one exploration order
 	// is not replayed verbatim.
 	OrderSeed int64
-	// Workers > 1 solves independent components concurrently (the
-	// parallelism the paper's conclusion calls for to scale LICM).
-	// With a MaxNodes budget, the budget is split evenly across
-	// components instead of being drawn from a shared pool, so
-	// results are deterministic but can differ from a sequential run
-	// on budget-limited instances.
-	Workers int
 
 	// Trace, if non-nil, receives structured span events for every
 	// solver phase (validate, check, prune, presolve, decompose,
@@ -158,12 +141,8 @@ func DefaultOptions() Options {
 		Decompose:       true,
 		UseLP:           true,
 		DFSThreshold:    22,
-		MaxLPVars:       600,
-		MaxLPRows:       1200,
 		MaxNodes:        0,
-		OversizeNodes:   2_000_000,
 		CompleteWitness: true,
-		WitnessBudget:   defaultWitnessBudget,
 	}
 }
 
@@ -208,7 +187,7 @@ type Stats struct {
 	// early; the result is then best-effort (Proven is false).
 	Canceled bool
 	// WitnessExhausted reports that witness completion ran out of its
-	// node budget (Options.WitnessBudget): the bounds stand but
+	// node budget (500,000 nodes per dive): the bounds stand but
 	// Result.Assignment is nil instead of a full world.
 	WitnessExhausted bool
 
@@ -236,7 +215,9 @@ type Result struct {
 	// Assignment is a witness world achieving Value: Assignment[v] is
 	// the value of variable v. It has length NumVars. When pruning is
 	// enabled and CompleteWitness is false, variables outside the
-	// objective's component may hold arbitrary values.
+	// objective's component may hold arbitrary values; when witness
+	// completion runs out of its budget, Assignment is nil
+	// (Stats.WitnessExhausted).
 	Assignment []uint8
 	// Stats describes the solve.
 	Stats Stats
@@ -270,30 +251,39 @@ func (p *Problem) Validate() error {
 	if p.Derived != nil && len(p.Derived) != p.NumVars {
 		return fmt.Errorf("solver: Derived has length %d, want %d (one flag per variable)", len(p.Derived), p.NumVars)
 	}
-	checkLin := func(l expr.Lin, what string) error {
+	// checkLin checks constraint ci's expression, or the objective's
+	// when ci < 0. The name for the message is formatted only once a
+	// check fails: this runs on every solve, over every constraint.
+	checkLin := func(l expr.Lin, ci int) error {
+		what := func() string {
+			if ci < 0 {
+				return "objective"
+			}
+			return fmt.Sprintf("constraint %d", ci)
+		}
 		prev := expr.Var(-1)
 		for _, t := range l.Terms() {
 			if t.Var < 0 || int(t.Var) >= p.NumVars {
-				return fmt.Errorf("solver: %s references variable b%d outside [0,%d)", what, t.Var, p.NumVars)
+				return fmt.Errorf("solver: %s references variable b%d outside [0,%d)", what(), t.Var, p.NumVars)
 			}
 			if t.Coef == 0 {
-				return fmt.Errorf("solver: %s has a zero-coefficient term for b%d", what, t.Var)
+				return fmt.Errorf("solver: %s has a zero-coefficient term for b%d", what(), t.Var)
 			}
 			if t.Var == prev {
-				return fmt.Errorf("solver: %s has duplicate terms for b%d", what, t.Var)
+				return fmt.Errorf("solver: %s has duplicate terms for b%d", what(), t.Var)
 			}
 			if t.Var < prev {
-				return fmt.Errorf("solver: %s terms are not sorted by variable id (b%d after b%d)", what, t.Var, prev)
+				return fmt.Errorf("solver: %s terms are not sorted by variable id (b%d after b%d)", what(), t.Var, prev)
 			}
 			prev = t.Var
 		}
 		return nil
 	}
-	if err := checkLin(p.Objective, "objective"); err != nil {
+	if err := checkLin(p.Objective, -1); err != nil {
 		return err
 	}
 	for i, c := range p.Constraints {
-		if err := checkLin(c.Lin, fmt.Sprintf("constraint %d", i)); err != nil {
+		if err := checkLin(c.Lin, i); err != nil {
 			return err
 		}
 	}

@@ -175,38 +175,6 @@ func TestReuseKeepsDerivedFlagsApart(t *testing.T) {
 	}
 }
 
-// TestReuseWorkersMatchSequential: with no node budget the worker pool
-// searches one block per class and gives the copies its outcome once
-// the pool returns; the record equals the sequential one.
-func TestReuseWorkersMatchSequential(t *testing.T) {
-	p := seededBlocks(6, 3, 3, 5, 3, 5, 3)
-	opts := DefaultOptions()
-	seqRes, seq := solveRecorded(t, p, opts)
-	opts.Workers = 4
-	parRes, par := solveRecorded(t, p, opts)
-	if parRes.Value != seqRes.Value || parRes.Proven != seqRes.Proven ||
-		parRes.Stats.Nodes != seqRes.Stats.Nodes || parRes.Stats.LPSolves != seqRes.Stats.LPSolves ||
-		parRes.Stats.Propagations != seqRes.Stats.Propagations || !slices.Equal(parRes.Assignment, seqRes.Assignment) {
-		t.Errorf("workers=4 result %+v, workers=1 %+v", parRes, seqRes)
-	}
-	if len(par.Components) != len(seq.Components) {
-		t.Fatalf("workers=4 recorded %d components, workers=1 %d", len(par.Components), len(seq.Components))
-	}
-	reused := 0
-	for ci := range seq.Components {
-		s, w := seq.Components[ci], par.Components[ci]
-		if s.Reused != w.Reused || !sameOutcome(s, w) {
-			t.Errorf("component %d: workers=4 %+v, workers=1 %+v", ci, w, s)
-		}
-		if w.Reused {
-			reused++
-		}
-	}
-	if reused != 4 {
-		t.Errorf("%d components reused, want 4", reused)
-	}
-}
-
 // TestAssignmentMapsDenseIDsToStore: the search numbers only the
 // variables pruning keeps; Result.Assignment must still set exactly
 // the variables presolve fixed to 1 or the search chose as 1, at their

@@ -65,8 +65,8 @@ func TestCanceledErrorWrapsComponentContext(t *testing.T) {
 }
 
 // TestWitnessBudgetExhaustedStat: a pruned part too hard for the
-// configured witness budget must surface as Stats.WitnessExhausted
-// with a nil Assignment — while the bounds stand.
+// witness budget must surface as Stats.WitnessExhausted with a nil
+// Assignment — while the bounds stand.
 func TestWitnessBudgetExhaustedStat(t *testing.T) {
 	k := 20
 	p := &Problem{
@@ -74,9 +74,7 @@ func TestWitnessBudgetExhaustedStat(t *testing.T) {
 		Constraints: pairCoverProblem(1, k),
 		Objective:   expr.Sum(expr.Var(0)),
 	}
-	opts := DefaultOptions()
-	opts.WitnessBudget = 1000
-	res, err := Maximize(context.Background(), p, opts)
+	res, err := Maximize(context.Background(), p, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,8 +6,6 @@ import (
 	"fmt"
 	"runtime/debug"
 	"sort"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"licm/internal/check"
@@ -15,10 +13,9 @@ import (
 	"licm/internal/obs"
 )
 
-// defaultWitnessBudget caps the nodes spent completing a witness over
-// pruned (objective-irrelevant) components when Options.WitnessBudget
-// is left zero.
-const defaultWitnessBudget = 500_000
+// defaultWitnessBudget caps the nodes of each dive that completes a
+// witness over pruned (objective-irrelevant) components.
+const defaultWitnessBudget int64 = 500_000
 
 // solve maximizes p.Objective. Minimization is handled by the caller
 // via negation; minimized only labels the trace.
@@ -139,6 +136,8 @@ func solve(ctx context.Context, p *Problem, opts Options, minimized bool) (res R
 	phaseStart := time.Now()
 	sp = root.Start("solver.prune", obs.Bool("enabled", opts.Prune))
 	kept := p.Constraints
+	// dropped collects the pruned-away constraints, which only witness
+	// completion reads.
 	var dropped []expr.Constraint
 	var reach []bool
 	if opts.Prune {
@@ -150,7 +149,7 @@ func solve(ctx context.Context, p *Problem, opts Options, minimized bool) (res R
 			if di < len(pr.KeptConstraints) && pr.KeptConstraints[di] == i {
 				kept = append(kept, c)
 				di++
-			} else {
+			} else if opts.CompleteWitness {
 				dropped = append(dropped, c)
 			}
 		}
@@ -314,115 +313,35 @@ func solve(ctx context.Context, p *Problem, opts Options, minimized bool) (res R
 	return res, nil
 }
 
-// solveAll solves every component on its record slot, sequentially or
-// with a worker pool when opts.Workers > 1, and searches each distinct
-// component once: a component whose matrix, objective and derived
-// flags equal an earlier one's (see classes) repeats that search
-// exactly, so it takes the earlier outcome instead.
-//
-// Sequentially, a repeat takes the earlier outcome only when that one
-// is proven, the solve is not canceled, and the shared budget still
-// holds the nodes the earlier search drew from it; the draw is then
-// charged, so every budget-limited answer is the one searching the
-// repeat would give. On the pool each component has a budget of its
-// own, so workers search one component per class and the repeats take
-// its outcome once the pool returns.
-//
-// A panic on any worker is captured, remaining components are
-// abandoned, and the first panic is re-thrown (as a *CompPanic) once
-// every worker has stopped — so a dying component can never strand the
-// pool.
+// solveAll solves every component on its record slot, in order, and
+// searches each distinct component once: a component whose matrix,
+// objective and derived flags equal an earlier one's (see classes)
+// repeats that search exactly, so it takes the earlier outcome instead.
+// It does so only when that outcome is proven, the solve is not
+// canceled, and the shared budget still holds the nodes the earlier
+// search drew from it; the draw is then charged, so every
+// budget-limited answer is the one searching the repeat would give. A
+// panic in a component's search leaves as a *CompPanic naming it.
 func solveAll(rec *ExplainRecorder, slots []ExplainComp, derived [][]bool, opts Options, budget *int64, kc *ctrl) []compResult {
 	results := make([]compResult, len(slots))
 	first := classes(slots, derived)
-	if opts.Workers <= 1 || len(slots) <= 1 {
-		draws := make([]int64, len(slots))
-		for ci := range slots {
-			if r := first[ci]; r != ci && results[r].proven && !kc.isCanceled() &&
-				(budget == nil || *budget >= draws[r]) {
-				if budget != nil {
-					*budget -= draws[r]
-				}
-				results[ci] = reuse(rec, &slots[ci], &slots[r], results[r], kc)
-				continue
-			}
-			var before int64
+	draws := make([]int64, len(slots))
+	for ci := range slots {
+		if r := first[ci]; r != ci && results[r].proven && !kc.isCanceled() &&
+			(budget == nil || *budget >= draws[r]) {
 			if budget != nil {
-				before = *budget
+				*budget -= draws[r]
 			}
-			results[ci] = solveOneGuarded(rec, &slots[ci], derived[ci], opts, budget, kc)
-			if budget != nil {
-				draws[ci] = before - *budget
-			}
-		}
-		return results
-	}
-	// Parallel path: split any budget evenly so workers never share
-	// mutable state. Work is handed out through an atomic index rather
-	// than a feeder channel: a feeder would block forever on a send to
-	// a pool whose workers have panicked.
-	var perComp int64
-	if budget != nil {
-		perComp = *budget / int64(len(slots))
-		if perComp < 1000 {
-			perComp = 1000
-		}
-	}
-	var todo []int
-	for ci, r := range first {
-		if r == ci {
-			todo = append(todo, ci)
-		}
-	}
-	workers := opts.Workers
-	if workers > len(todo) {
-		workers = len(todo)
-	}
-	var wg sync.WaitGroup
-	var nextIdx atomic.Int64
-	var panicked atomic.Bool
-	var panicMu sync.Mutex
-	var firstPanic *CompPanic
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			defer func() {
-				if r := recover(); r != nil {
-					cp, ok := r.(*CompPanic)
-					if !ok {
-						cp = &CompPanic{Component: -1, Value: r, Stack: debug.Stack()}
-					}
-					panicMu.Lock()
-					if firstPanic == nil {
-						firstPanic = cp
-					}
-					panicMu.Unlock()
-					panicked.Store(true)
-				}
-			}()
-			for {
-				i := int(nextIdx.Add(1) - 1)
-				if i >= len(todo) || panicked.Load() {
-					return
-				}
-				ci := todo[i]
-				var b *int64
-				if budget != nil {
-					local := perComp
-					b = &local
-				}
-				results[ci] = solveOneGuarded(rec, &slots[ci], derived[ci], opts, b, kc)
-			}
-		}()
-	}
-	wg.Wait()
-	if firstPanic != nil {
-		panic(firstPanic)
-	}
-	for ci, r := range first {
-		if r != ci {
 			results[ci] = reuse(rec, &slots[ci], &slots[r], results[r], kc)
+			continue
+		}
+		var before int64
+		if budget != nil {
+			before = *budget
+		}
+		results[ci] = solveOneGuarded(rec, &slots[ci], derived[ci], opts, budget, kc)
+		if budget != nil {
+			draws[ci] = before - *budget
 		}
 	}
 	return results
@@ -711,7 +630,7 @@ func completeWitness(numVars int, dropped []expr.Constraint, assign []uint8, opt
 			}
 		}
 		sortInt32s(order)
-		b := witnessNodeBudget(opts)
+		b := defaultWitnessBudget
 		c := &comp{
 			n:           numVars,
 			cons:        lcons,
@@ -751,7 +670,7 @@ func completeWitness(numVars int, dropped []expr.Constraint, assign []uint8, opt
 	// would drift from the reported totals. Each dive is budgeted, so
 	// cancellation latency stays bounded anyway.
 	for ci, cm := range comps {
-		b := witnessNodeBudget(opts)
+		b := defaultWitnessBudget
 		cr := solveOne(scratch, &slots[ci], nil, wopts, &b, nil)
 		if !cr.feasible {
 			return false, cr.proven
@@ -763,15 +682,6 @@ func completeWitness(numVars int, dropped []expr.Constraint, assign []uint8, opt
 		}
 	}
 	return true, false
-}
-
-// witnessNodeBudget returns the node budget of one witness dive:
-// Options.WitnessBudget, or the historical default when unset.
-func witnessNodeBudget(opts Options) int64 {
-	if opts.WitnessBudget > 0 {
-		return opts.WitnessBudget
-	}
-	return defaultWitnessBudget
 }
 
 // sortInt32s sorts ascending, keeping the witness dive deterministic.

@@ -525,39 +525,9 @@ func BenchmarkSolvePermutation8(b *testing.B) {
 	}
 }
 
-// TestParallelWorkersMatchSequential: component-parallel solving gives
-// the same optima as sequential on unbudgeted instances.
-func TestParallelWorkersMatchSequential(t *testing.T) {
-	r := rand.New(rand.NewSource(51))
-	seq := DefaultOptions()
-	par := DefaultOptions()
-	par.Workers = 4
-	for trial := 0; trial < 100; trial++ {
-		numVars := 4 + r.Intn(12)
-		numCons := 1 + r.Intn(6)
-		cons := make([]expr.Constraint, 0, numCons)
-		for i := 0; i < numCons; i++ {
-			cons = append(cons, randomConstraint(r, numVars))
-		}
-		obj := randomObjective(r, numVars)
-		p := &Problem{NumVars: numVars, Constraints: cons, Objective: obj}
-		a, errA := Maximize(context.Background(), p, seq)
-		b, errB := Maximize(context.Background(), p, par)
-		if (errA == nil) != (errB == nil) {
-			t.Fatalf("trial %d: err mismatch %v vs %v", trial, errA, errB)
-		}
-		if errA != nil {
-			continue
-		}
-		if a.Value != b.Value {
-			t.Fatalf("trial %d: sequential %d vs parallel %d", trial, a.Value, b.Value)
-		}
-	}
-}
-
-// TestParallelManyGroups exercises the worker pool on a instance with
-// many independent components.
-func TestParallelManyGroups(t *testing.T) {
+// TestManyComponents solves an instance of 300 independent
+// components, all of them equal.
+func TestManyComponents(t *testing.T) {
 	var cons []expr.Constraint
 	var all []expr.Var
 	for g := 0; g < 300; g++ {
@@ -566,9 +536,7 @@ func TestParallelManyGroups(t *testing.T) {
 		cons = append(cons, expr.NewConstraint(expr.Sum(vs...), expr.GE, 1))
 	}
 	p := &Problem{NumVars: 900, Constraints: cons, Objective: expr.Sum(all...)}
-	opts := DefaultOptions()
-	opts.Workers = 8
-	min, max, err := Bounds(context.Background(), p, opts)
+	min, max, err := Bounds(context.Background(), p, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -647,10 +615,9 @@ func TestLPGuidedSeedFindsMinimum(t *testing.T) {
 			t.Fatalf("witness value %d != reported %d", val, min.Value)
 		}
 	}
-	// Cross-check against pure DFS with a large budget.
+	// Cross-check against pure DFS.
 	dfsOpts := DefaultOptions()
 	dfsOpts.UseLP = false
-	dfsOpts.OversizeNodes = 5_000_000
 	min2, err := Minimize(context.Background(), p, dfsOpts)
 	if err != nil {
 		t.Fatal(err)
@@ -660,6 +627,80 @@ func TestLPGuidedSeedFindsMinimum(t *testing.T) {
 	}
 	if !min2.Proven && min.Value < min2.Bound {
 		t.Fatalf("LP min %d below DFS proven lower bound %d", min.Value, min2.Bound)
+	}
+}
+
+// independentSet returns the maximum independent set problem of the
+// given edges over numVars variables: maximize their sum subject to
+// x_a + x_b <= 1 for each edge.
+func independentSet(numVars int, edges [][2]int) *Problem {
+	cons := make([]expr.Constraint, len(edges))
+	for i, e := range edges {
+		cons[i] = expr.NewConstraint(expr.Sum(expr.Var(e[0]), expr.Var(e[1])), expr.LE, 1)
+	}
+	all := make([]expr.Var, numVars)
+	for v := range all {
+		all[v] = expr.Var(v)
+	}
+	return &Problem{NumVars: numVars, Constraints: cons, Objective: expr.Sum(all...)}
+}
+
+// TestLPSizeCaps pins the component size caps: a component with more
+// than maxLPVars free variables or more than maxLPRows constraints is
+// searched without the LP, and one exactly at a cap gets its root
+// relaxation.
+func TestLPSizeCaps(t *testing.T) {
+	// A path over n variables: one component of n variables, n-1 rows.
+	path := func(n int) *Problem {
+		edges := make([][2]int, n-1)
+		for i := range edges {
+			edges[i] = [2]int{i, i + 1}
+		}
+		return independentSet(n, edges)
+	}
+	// The complete bipartite graph K(30,40), 1,200 rows over 70
+	// variables, plus one pendant edge to a new variable per extra row.
+	biclique := func(extra int) *Problem {
+		var edges [][2]int
+		for a := 0; a < 30; a++ {
+			for b := 30; b < 70; b++ {
+				edges = append(edges, [2]int{a, b})
+			}
+		}
+		for i := 0; i < extra; i++ {
+			edges = append(edges, [2]int{0, 70 + i})
+		}
+		return independentSet(70+extra, edges)
+	}
+	cases := []struct {
+		name       string
+		p          *Problem
+		vars, rows int
+		lp         bool
+	}{
+		{"vars at cap", path(maxLPVars), maxLPVars, maxLPVars - 1, true},
+		{"vars over cap", path(maxLPVars + 1), maxLPVars + 1, maxLPVars, false},
+		{"rows at cap", biclique(0), 70, maxLPRows, true},
+		{"rows over cap", biclique(1), 71, maxLPRows + 1, false},
+	}
+	for _, tc := range cases {
+		opts := DefaultOptions()
+		opts.MaxNodes = 1000
+		opts.Explain = &ExplainRecorder{}
+		res, err := Maximize(context.Background(), tc.p, opts)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		comps := opts.Explain.Runs()[0].Components
+		if len(comps) != 1 || comps[0].Vars != tc.vars || len(comps[0].Cons) != tc.rows {
+			t.Fatalf("%s: %d components, want one of %d vars and %d rows", tc.name, len(comps), tc.vars, tc.rows)
+		}
+		if tc.lp && res.Stats.LPSolves < 1 {
+			t.Errorf("%s: no LP solve, want the root relaxation", tc.name)
+		}
+		if !tc.lp && res.Stats.LPSolves != 0 {
+			t.Errorf("%s: %d LP solves, want none", tc.name, res.Stats.LPSolves)
+		}
 	}
 }
 
