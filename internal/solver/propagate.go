@@ -38,33 +38,103 @@ func (l *ExplainCon) holds(dom []int8) bool {
 	}
 }
 
-// varRef locates one term of one constraint.
-type varRef struct {
-	ci int32 // constraint index
-	ti int32 // term index within the constraint
+// termRef is one term of the var→term index: the constraint a variable
+// appears in, with its coefficient there.
+type termRef struct {
+	ci   int32
+	coef int64
+}
+
+// The two sides of a constraint: LE and EQ bound its activity by rhs
+// from above (atMost), GE and EQ from below (atLeast).
+const (
+	atMost  = 0
+	atLeast = 1
+)
+
+// conRec is one constraint's propagation state, packed into 32 bytes
+// so that the tests check runs first read a single cache line. The
+// constraint is held as lo <= activity <= hi, and its activity bounds
+// relative to those:
+//
+//	slack[atMost]  = hi - (min activity over current domains)
+//	slack[atLeast] = (max activity over current domains) - lo
+//
+// A side is violated when its slack is negative, and a free term of
+// magnitude |coef| is forced when |coef| exceeds that side's slack, so
+// maxAbs (the largest |coef| of the constraint) tells in O(1) whether
+// any variable could be forced. LE and GE leave one side open; it gets
+// a bound that can never bind (see newPropagator), so conflict and
+// mayForce need not know the operator.
+type conRec struct {
+	slack  [2]int64
+	maxAbs int64
+	free   int32 // number of free variables
+	queued bool
+}
+
+// shrinks returns the side whose slack fixing a term of coefficient
+// coef to val consumes. At the term's larger contribution (coef > 0
+// fixed to 1, coef < 0 fixed to 0) the activity's floor rises by
+// |coef|, shrinking atMost; at its smaller one the ceiling falls by
+// |coef|, shrinking atLeast.
+func shrinks(coef int64, val int8) int {
+	larger := int(uint64(coef)>>63) ^ int(val)
+	return (larger ^ 1) & 1
+}
+
+// take accounts for fixing a term of coefficient coef to val.
+func (r *conRec) take(coef int64, val int8) {
+	r.slack[shrinks(coef, val)] -= abs64(coef)
+	r.free--
+}
+
+// give reverses take.
+func (r *conRec) give(coef int64, val int8) {
+	r.slack[shrinks(coef, val)] += abs64(coef)
+	r.free++
+}
+
+// conflict reports whether the constraint is unsatisfiable under the
+// current domains.
+func (r *conRec) conflict() bool {
+	return min(r.slack[atMost], r.slack[atLeast]) < 0
+}
+
+// mayForce reports whether some free variable could be forced: only
+// then does check scan the constraint's terms.
+func (r *conRec) mayForce() bool {
+	return r.free > 0 && min(r.slack[atMost], r.slack[atLeast]) < r.maxAbs
+}
+
+func abs64(x int64) int64 {
+	if x < 0 {
+		return -x
+	}
+	return x
 }
 
 // propagator performs bound-consistency propagation for integer linear
 // constraints over binary variables, with a trail for backtracking.
 // Domains are dom[v] = -1 (free), 0, or 1.
 //
-// Activity bounds (minAct/maxAct) are maintained incrementally as
-// variables are fixed and unfixed, so each fix costs O(number of
-// constraint terms touching the variable) instead of rescanning whole
-// constraints — essential for the cardinality groups produced by
-// heavy generalization, which can span hundreds of variables.
+// Each constraint's activity bounds live in its conRec and are updated
+// incrementally as variables are fixed and unfixed, so each fix costs
+// O(number of constraint terms touching the variable) instead of
+// rescanning whole constraints — essential for the cardinality groups
+// produced by heavy generalization, which can span hundreds of
+// variables. A constraint is queued only when its record shows that
+// check could act on it.
 type propagator struct {
-	cons    []ExplainCon
-	varCons [][]varRef // variable -> terms containing it
-	dom     []int8
-	trail   []int32
-	queue   []int32
-	inQueue []bool
-	minAct  []int64 // per constraint, min activity over current domains
-	maxAct  []int64 // per constraint, max activity over current domains
-	free    []int32 // per constraint, number of free variables
-	maxPos  []int64 // per constraint, largest positive coefficient
-	maxNeg  []int64 // per constraint, largest |negative| coefficient
+	cons []ExplainCon
+	recs []conRec
+	// varStart and refs index each variable's terms: those of v are
+	// refs[varStart[v]:varStart[v+1]], in constraint order.
+	varStart []int32
+	refs     []termRef
+	dom      []int8
+	trail    []int32
+	queue    []int32
 	// nAssigns counts every assignment ever made (monotonic; undo does
 	// not decrement it) — the propagation-work figure reported in
 	// Stats.Propagations and the solver.propagations counter.
@@ -73,39 +143,63 @@ type propagator struct {
 
 func newPropagator(numVars int, cons []ExplainCon) *propagator {
 	p := &propagator{
-		cons:    cons,
-		varCons: make([][]varRef, numVars),
-		dom:     make([]int8, numVars),
-		inQueue: make([]bool, len(cons)),
-		minAct:  make([]int64, len(cons)),
-		maxAct:  make([]int64, len(cons)),
-		free:    make([]int32, len(cons)),
-		maxPos:  make([]int64, len(cons)),
-		maxNeg:  make([]int64, len(cons)),
+		cons:     cons,
+		recs:     make([]conRec, len(cons)),
+		varStart: make([]int32, numVars+1),
+		dom:      make([]int8, numVars),
 	}
 	for i := range p.dom {
 		p.dom[i] = -1
 	}
+	// First pass: the records, and each variable's term count.
 	for ci := range cons {
 		c := &cons[ci]
+		r := &p.recs[ci]
+		var minAct, maxAct int64
 		for ti, v := range c.Vars {
-			p.varCons[v] = append(p.varCons[v], varRef{ci: int32(ci), ti: int32(ti)})
+			p.varStart[v]++
 			cf := c.Coef[ti]
 			if cf > 0 {
-				p.maxAct[ci] += cf
-				if cf > p.maxPos[ci] {
-					p.maxPos[ci] = cf
-				}
+				maxAct += cf
 			} else {
-				p.minAct[ci] += cf
-				if -cf > p.maxNeg[ci] {
-					p.maxNeg[ci] = -cf
-				}
+				minAct += cf
 			}
+			r.maxAbs = max(r.maxAbs, abs64(cf))
 		}
-		p.free[ci] = int32(len(c.Vars))
+		// An open side is bounded maxAbs beyond anything the activity
+		// can reach, so its slack never falls below maxAbs: it never
+		// reads as violated or forcing.
+		lo, hi := c.RHS, c.RHS
+		switch c.Op {
+		case expr.LE:
+			lo = minAct - r.maxAbs
+		case expr.GE:
+			hi = maxAct + r.maxAbs
+		}
+		r.slack = [2]int64{hi - minAct, maxAct - lo}
+		r.free = int32(len(c.Vars))
+	}
+	// Running sums turn the counts into the end of each variable's run;
+	// the second pass fills the runs back to front, which leaves
+	// varStart[v] at the run's start and each run in constraint order.
+	for v := 1; v <= numVars; v++ {
+		p.varStart[v] += p.varStart[v-1]
+	}
+	p.refs = make([]termRef, p.varStart[numVars])
+	for ci := len(cons) - 1; ci >= 0; ci-- {
+		c := &cons[ci]
+		for ti := len(c.Vars) - 1; ti >= 0; ti-- {
+			v := c.Vars[ti]
+			p.varStart[v]--
+			p.refs[p.varStart[v]] = termRef{ci: int32(ci), coef: c.Coef[ti]}
+		}
 	}
 	return p
+}
+
+// terms returns the var→term index entries of v.
+func (p *propagator) terms(v int32) []termRef {
+	return p.refs[p.varStart[v]:p.varStart[v+1]]
 }
 
 // mark returns a trail position for later undo.
@@ -118,49 +212,11 @@ func (p *propagator) undo(mark int) {
 		v := p.trail[i]
 		val := p.dom[v]
 		p.dom[v] = -1
-		for _, r := range p.varCons[v] {
-			cf := p.cons[r.ci].Coef[r.ti]
-			p.unapply(r.ci, cf, val)
+		for _, t := range p.terms(v) {
+			p.recs[t.ci].give(t.coef, val)
 		}
 	}
 	p.trail = p.trail[:mark]
-}
-
-// apply updates constraint ci's activity bounds for fixing a variable
-// with coefficient cf to val.
-func (p *propagator) apply(ci int32, cf int64, val int8) {
-	if cf > 0 {
-		if val == 1 {
-			p.minAct[ci] += cf
-		} else {
-			p.maxAct[ci] -= cf
-		}
-	} else {
-		if val == 1 {
-			p.maxAct[ci] += cf
-		} else {
-			p.minAct[ci] -= cf
-		}
-	}
-	p.free[ci]--
-}
-
-// unapply reverses apply.
-func (p *propagator) unapply(ci int32, cf int64, val int8) {
-	if cf > 0 {
-		if val == 1 {
-			p.minAct[ci] -= cf
-		} else {
-			p.maxAct[ci] += cf
-		}
-	} else {
-		if val == 1 {
-			p.maxAct[ci] -= cf
-		} else {
-			p.minAct[ci] += cf
-		}
-	}
-	p.free[ci]++
 }
 
 // fix assigns v := val and propagates consequences. It returns false
@@ -174,8 +230,8 @@ func (p *propagator) fix(v int32, val int8) bool {
 	return p.drain()
 }
 
-// propagateAll enqueues every constraint and drains the queue; used
-// for root presolve.
+// propagateAll enqueues every constraint that may act and drains the
+// queue; used for root presolve.
 func (p *propagator) propagateAll() bool {
 	for ci := range p.cons {
 		p.enqueue(int32(ci))
@@ -187,16 +243,19 @@ func (p *propagator) assign(v int32, val int8) {
 	p.nAssigns++
 	p.dom[v] = val
 	p.trail = append(p.trail, v)
-	for _, r := range p.varCons[v] {
-		cf := p.cons[r.ci].Coef[r.ti]
-		p.apply(r.ci, cf, val)
-		p.enqueue(r.ci)
+	for _, t := range p.terms(v) {
+		p.recs[t.ci].take(t.coef, val)
+		p.enqueue(t.ci)
 	}
 }
 
+// enqueue pushes constraint ci unless it is queued already or its
+// record shows that check could neither find a conflict nor force a
+// variable.
 func (p *propagator) enqueue(ci int32) {
-	if !p.inQueue[ci] {
-		p.inQueue[ci] = true
+	r := &p.recs[ci]
+	if !r.queued && (r.conflict() || r.mayForce()) {
+		r.queued = true
 		p.queue = append(p.queue, ci)
 	}
 }
@@ -205,11 +264,11 @@ func (p *propagator) drain() bool {
 	for len(p.queue) > 0 {
 		ci := p.queue[len(p.queue)-1]
 		p.queue = p.queue[:len(p.queue)-1]
-		p.inQueue[ci] = false
+		p.recs[ci].queued = false
 		if !p.check(ci) {
 			// Clear the queue so the propagator is reusable after undo.
 			for _, c := range p.queue {
-				p.inQueue[c] = false
+				p.recs[c].queued = false
 			}
 			p.queue = p.queue[:0]
 			return false
@@ -218,54 +277,43 @@ func (p *propagator) drain() bool {
 	return true
 }
 
-// check examines constraint ci using the cached activity bounds:
-// detects conflict in O(1) and scans for forced variables only when
-// the bounds show forcing is possible at all.
+// check examines constraint ci using its record: detects conflict in
+// O(1) and scans for forced variables only when the record shows
+// forcing is possible at all.
 func (p *propagator) check(ci int32) bool {
+	r := &p.recs[ci]
+	if r.conflict() {
+		return false
+	}
+	if !r.mayForce() {
+		return true
+	}
+	// The scan compares against the slacks it started from; each fix it
+	// makes updates the record, which requeues the constraint if it may
+	// act again.
+	slack := r.slack
 	c := &p.cons[ci]
-	minAct, maxAct := p.minAct[ci], p.maxAct[ci]
-	needLE := c.Op == expr.LE || c.Op == expr.EQ
-	needGE := c.Op == expr.GE || c.Op == expr.EQ
-	if needLE && minAct > c.RHS {
-		return false
-	}
-	if needGE && maxAct < c.RHS {
-		return false
-	}
-	if p.free[ci] == 0 {
-		return true
-	}
-	// Forcing is only possible when some coefficient could push the
-	// activity past the bound; these O(1) tests skip the scan in the
-	// common satisfied case.
-	scanLE := needLE && (minAct+p.maxPos[ci] > c.RHS || minAct+p.maxNeg[ci] > c.RHS)
-	scanGE := needGE && (maxAct-p.maxPos[ci] < c.RHS || maxAct-p.maxNeg[ci] < c.RHS)
-	if !scanLE && !scanGE {
-		return true
-	}
 	for i, v := range c.Vars {
 		if p.dom[v] != -1 {
 			continue
 		}
 		cf := c.Coef[i]
-		if scanLE {
-			if cf > 0 && minAct+cf > c.RHS {
+		a := abs64(cf)
+		if a > slack[atMost] {
+			// Its larger contribution would push the activity above rhs.
+			if cf > 0 {
 				p.assign(v, 0)
-				continue
-			}
-			if cf < 0 && minAct-cf > c.RHS {
+			} else {
 				p.assign(v, 1)
-				continue
 			}
+			continue
 		}
-		if scanGE {
-			if cf > 0 && maxAct-cf < c.RHS {
+		if a > slack[atLeast] {
+			// Its smaller one would leave the activity below rhs.
+			if cf > 0 {
 				p.assign(v, 1)
-				continue
-			}
-			if cf < 0 && maxAct+cf < c.RHS {
+			} else {
 				p.assign(v, 0)
-				continue
 			}
 		}
 	}

@@ -24,6 +24,18 @@ var lookupSpecs = []Spec{
 	{ID: 3, Kind: "q2", Agg: "count", PaLo: 599, PaHi: 629, PbLo: 25, PbHi: 33, PcLo: 5, PcHi: 9, X: 3, Y: 3},
 }
 
+// mixConfig is the store of the benchmark's mix-150 workload: 150
+// transactions over 40 items, k-anonymized with k = 4, seed 7.
+func mixConfig() Config {
+	return Config{NumTransactions: 150, NumItems: 40, Scheme: "k", K: 4, Seed: 7}
+}
+
+// mixQ3Spec is a Query-3 spec of the mix-150 list. Its max side proves
+// 30 in about a thousand nodes; its min side stops at the 300 000
+// node budget with the interval [0, 30], so nearly all of its time is
+// propagation-based search.
+var mixQ3Spec = Spec{ID: 771, Kind: "q3", Agg: "count", PaLo: 774, PaHi: 999, PbLo: 258, PbHi: 379, X: 3}
+
 var (
 	benchEnc *encode.Encoded
 	benchObj expr.Lin
@@ -66,35 +78,51 @@ func BenchmarkFactoryBuild(b *testing.B) {
 	}
 }
 
-// BenchmarkFactorySolve measures a query's solve layer: for the specs
-// of BenchmarkFactoryBuild, core.BuildProblem plus both supervised
-// solves, with the lookup workloads' solver options (DefaultOptions, a
-// 300 000 node budget, no witness completion). The factory call and
-// Spec.Build run with the timer stopped.
+// BenchmarkFactorySolve measures a query's solve layer for the specs of
+// BenchmarkFactoryBuild; see benchSolve.
 func BenchmarkFactorySolve(b *testing.B) {
 	newEnc, err := lookupConfig().Encoder()
 	if err != nil {
 		b.Fatal(err)
 	}
+	for _, sp := range lookupSpecs {
+		b.Run(sp.Kind, func(b *testing.B) {
+			benchSolve(b, newEnc, sp, super.Exact)
+		})
+	}
+}
+
+// BenchmarkFactorySolveQ3 is BenchmarkFactorySolve for mixQ3Spec on the
+// mix-150 store: a budget-bound search, so it measures the propagation
+// kernel's cost per node.
+func BenchmarkFactorySolveQ3(b *testing.B) {
+	newEnc, err := mixConfig().Encoder()
+	if err != nil {
+		b.Fatal(err)
+	}
+	benchSolve(b, newEnc, mixQ3Spec, super.ProvenInterval)
+}
+
+// benchSolve times core.BuildProblem plus both supervised solves of sp,
+// with the benchmark workloads' solver options (DefaultOptions, a 300 000
+// node budget, no witness completion), and checks the answer's quality.
+// The factory call and Spec.Build run with the timer stopped.
+func benchSolve(b *testing.B, newEnc func() *encode.Encoded, sp Spec, want super.Quality) {
 	opts := solver.DefaultOptions()
 	opts.MaxNodes = 300_000
 	opts.CompleteWitness = false
-	for _, sp := range lookupSpecs {
-		b.Run(sp.Kind, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				enc := newEnc()
-				obj, _, err := sp.Build(enc)
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.StartTimer()
-				benchOut = super.Bounds(context.Background(), core.BuildProblem(enc.DB, obj), super.Config{Solver: opts})
-				if benchOut.Quality != super.Exact {
-					b.Fatalf("%s: quality %v, want exact", sp.Kind, benchOut.Quality)
-				}
-			}
-		})
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		enc := newEnc()
+		obj, _, err := sp.Build(enc)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		benchOut = super.Bounds(context.Background(), core.BuildProblem(enc.DB, obj), super.Config{Solver: opts})
+		if benchOut.Quality != want {
+			b.Fatalf("%s: quality %v, want %v", sp.Name(), benchOut.Quality, want)
+		}
 	}
 }
