@@ -203,7 +203,7 @@ func TestBadFlagsExitTwo(t *testing.T) {
 }
 
 // TestExplainHuman: -explain prints the pruning funnel and a
-// per-component table whose fingerprints look canonical.
+// per-component table with fingerprints.
 func TestExplainHuman(t *testing.T) {
 	in := genInput(t)
 	code, out, errBuf := runQ(t, "-in", in, "-scheme", "k", "-k", "2", "-query", "q1", "-explain")

@@ -5,9 +5,9 @@
 //
 // A certificate is the machine-checkable record of one solver run's
 // optimality claim: per component, the projected constraint matrix
-// the claim is about (keyed by the same canonical fingerprint the
-// explain layer uses), an incumbent witness, and a branch tree whose
-// leaves are closed by justifications replayable in exact rational
+// the claim is about (keyed by the same fingerprint the explain layer
+// uses), an incumbent witness, and a branch tree whose leaves are
+// closed by justifications replayable in exact rational
 // arithmetic — weak-duality bounds (dual), exact feasible points with
 // a one-unit dominance bound (intopt), and Farkas infeasibility
 // vectors (farkas). Verify replays every justification in
@@ -75,9 +75,9 @@ type Certificate struct {
 // Comp is one component's certificate.
 type Comp struct {
 	Index int `json:"index"`
-	// Fingerprint is the canonical matrix hash (explain.Fingerprint)
-	// of (vars, obj, cons) — the key a component solve cache uses, and
-	// the binding between this proof and the matrix it talks about.
+	// Fingerprint is the exact matrix hash (explain.Fingerprint) of
+	// (vars, obj, cons): the identity the solver's reuse key extends,
+	// and the binding between this proof and the matrix it talks about.
 	Fingerprint string  `json:"fingerprint"`
 	Vars        int     `json:"vars"`
 	Cons        []Con   `json:"cons"`

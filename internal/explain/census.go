@@ -7,13 +7,14 @@ import (
 )
 
 // Census accumulates component fingerprints across a workload of
-// explain reports and answers how often structurally alike components
-// recur across queries, and how much solve time a cache shared by the
-// queries could save (the solver already searches a repeat within one
-// solve only once, see solver.ExplainComp.Reused). It
-// tracks distinct-vs-total counts, a recurrence histogram, cumulative
-// per-fingerprint cost, and can simulate an LRU cache of any capacity
-// over the observed access sequence.
+// explain reports and answers how often the same component (an equal
+// recorded matrix and objective) recurs across queries, and how much
+// solve time a cache shared by the queries could save (the solver
+// already searches a repeat within one solve only once, see
+// solver.ExplainComp.Reused). It tracks distinct-vs-total counts, a
+// recurrence histogram, cumulative per-fingerprint cost, and can
+// simulate an LRU cache of any capacity over the observed access
+// sequence.
 type Census struct {
 	reg          *obs.Registry
 	queries      int
@@ -31,7 +32,7 @@ type FPStat struct {
 	Fingerprint string `json:"fingerprint"`
 	Count       int64  `json:"count"`
 	// Vars/Cons describe the component shape (identical for every
-	// occurrence by construction of the fingerprint).
+	// occurrence, since the fingerprint names the exact matrix).
 	Vars     int   `json:"vars"`
 	Cons     int   `json:"cons"`
 	Nodes    int64 `json:"nodes"`

@@ -1,10 +1,10 @@
 // Package explain turns the solver's raw ExplainRecorder data into
 // the licm-explain/1 report — a structured per-query account of the
 // solve ("EXPLAIN ANALYZE" for LICM): pruning effect, decomposed
-// component list with canonical fingerprints, and per-component
-// search attribution. Reports serialize as JSONL and feed the
-// workload-level component census (census.go), which measures how
-// often structurally alike components recur across a workload.
+// component list with fingerprints of the exact matrices searched, and
+// per-component search attribution. Reports serialize as JSONL and
+// feed the workload-level component census (census.go), which measures
+// how often the same component recurs across a workload.
 package explain
 
 import (
@@ -71,13 +71,12 @@ type Run struct {
 	Components       []Component `json:"components"`
 }
 
-// Component is one decomposed subproblem with its canonical
-// fingerprint and search attribution.
+// Component is one decomposed subproblem with its fingerprint and
+// search attribution.
 type Component struct {
 	Index int `json:"index"`
-	// Fingerprint is the canonical hash of the projected constraint
-	// matrix plus objective (see Fingerprint): it groups components
-	// that are equal up to a renumbering of their variables, the
+	// Fingerprint names the recorded matrix and objective exactly (see
+	// Fingerprint): equal fingerprints are the same component, the
 	// recurrence the census counts across queries.
 	Fingerprint string `json:"fingerprint"`
 	Vars        int    `json:"vars"`
@@ -142,7 +141,7 @@ func Build(query string, rec *solver.ExplainRecorder) *Report {
 		for _, c := range sr.Components {
 			run.Components = append(run.Components, Component{
 				Index:        c.Index,
-				Fingerprint:  ComponentFingerprint(c),
+				Fingerprint:  Fingerprint(c.Vars, c.Obj, c.Cons),
 				Vars:         c.Vars,
 				Cons:         len(c.Cons),
 				Solved:       c.Solved,

@@ -1,8 +1,10 @@
 package explain
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"licm/internal/expr"
@@ -20,8 +22,9 @@ func con(op expr.Op, rhs int64, terms ...int64) solver.ExplainCon {
 }
 
 // permute renumbers variables by perm (perm[old] = new) and shuffles
-// constraint order and within-row term order — the full symmetry
-// group the fingerprint must be invariant under.
+// constraint order and within-row term order: a copy of the same
+// problem whose recorded matrix differs unless every shuffle is the
+// identity.
 func permute(nVars int, obj []int64, cons []solver.ExplainCon, perm []int, rng *rand.Rand) (int, []int64, []solver.ExplainCon) {
 	newObj := make([]int64, nVars)
 	for v := 0; v < nVars; v++ {
@@ -43,9 +46,27 @@ func permute(nVars int, obj []int64, cons []solver.ExplainCon, perm []int, rng *
 	return nVars, newObj, newCons
 }
 
-// TestFingerprintPermutationInvariance: renaming variables and
-// reordering constraints never changes the fingerprint.
-func TestFingerprintPermutationInvariance(t *testing.T) {
+// sameMatrix reports whether two recorded components are equal: same
+// variable count, objective, and rows in the same order.
+func sameMatrix(n1 int, obj1 []int64, cons1 []solver.ExplainCon, n2 int, obj2 []int64, cons2 []solver.ExplainCon) bool {
+	if n1 != n2 || !slices.Equal(obj1, obj2) || len(cons1) != len(cons2) {
+		return false
+	}
+	for i := range cons1 {
+		a, b := &cons1[i], &cons2[i]
+		if a.Op != b.Op || a.RHS != b.RHS || !slices.Equal(a.Vars, b.Vars) || !slices.Equal(a.Coef, b.Coef) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestFingerprintExactMatrix: the fingerprint names the recorded
+// matrix. A copy with equal variables, objective and rows gets the
+// same fingerprint; a renumbered or row-reordered copy whose recorded
+// matrix differs gets another, as the solver does not reuse an outcome
+// across such copies either.
+func TestFingerprintExactMatrix(t *testing.T) {
 	cases := []struct {
 		name  string
 		nVars int
@@ -87,13 +108,28 @@ func TestFingerprintPermutationInvariance(t *testing.T) {
 			if len(want) != 16 {
 				t.Fatalf("fingerprint %q, want 16 hex chars", want)
 			}
+			cp := make([]solver.ExplainCon, len(tc.cons))
+			for i, c := range tc.cons {
+				cp[i] = solver.ExplainCon{Op: c.Op, RHS: c.RHS, Vars: slices.Clone(c.Vars), Coef: slices.Clone(c.Coef)}
+			}
+			if got := Fingerprint(tc.nVars, slices.Clone(tc.obj), cp); got != want {
+				t.Fatalf("equal copy: fingerprint %q != %q", got, want)
+			}
 			rng := rand.New(rand.NewSource(7))
+			differed := 0
 			for trial := 0; trial < 25; trial++ {
 				perm := rng.Perm(tc.nVars)
 				n, obj, cons := permute(tc.nVars, tc.obj, tc.cons, perm, rng)
-				if got := Fingerprint(n, obj, cons); got != want {
-					t.Fatalf("trial %d perm %v: fingerprint %q != %q", trial, perm, got, want)
+				same := sameMatrix(n, obj, cons, tc.nVars, tc.obj, tc.cons)
+				if !same {
+					differed++
 				}
+				if got := Fingerprint(n, obj, cons); (got == want) != same {
+					t.Fatalf("trial %d perm %v: fingerprint %q vs %q, recorded matrix equal %v", trial, perm, got, want, same)
+				}
+			}
+			if differed == 0 {
+				t.Fatal("no trial changed the recorded matrix")
 			}
 		})
 	}
@@ -156,8 +192,7 @@ func TestFingerprintDistinguishesStructure(t *testing.T) {
 }
 
 // TestFingerprintNoCollisionsOnCorpus generates a corpus of random
-// structurally-distinct components and checks no two share a
-// fingerprint, while a permuted copy of each always does.
+// components and checks no two share a fingerprint.
 func TestFingerprintNoCollisionsOnCorpus(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	seen := map[string]string{}
@@ -186,25 +221,19 @@ func TestFingerprintNoCollisionsOnCorpus(t *testing.T) {
 		desc := fmt.Sprintf("case %d: vars=%d obj=%v cons=%+v", i, nVars, obj, cons)
 		fp := Fingerprint(nVars, obj, cons)
 		if prev, ok := seen[fp]; ok {
-			// Random corpora can contain genuinely isomorphic instances;
-			// only flag a collision between different canonical texts.
+			// A random corpus can repeat a component; only the count
+			// below flags a collision rate.
 			t.Logf("shared fingerprint %s:\n  %s\n  %s", fp, prev, desc)
 		}
 		seen[fp] = desc
-		perm := rng.Perm(nVars)
-		_, pObj, pCons := permute(nVars, obj, cons, perm, rng)
-		if got := Fingerprint(nVars, pObj, pCons); got != fp {
-			t.Fatalf("%s: permuted copy got %s, want %s", desc, got, fp)
-		}
 	}
 	if len(seen) < 290 {
 		t.Errorf("only %d distinct fingerprints over 300 random cases — collision rate too high", len(seen))
 	}
 }
 
-// FuzzFingerprint checks the two core properties on fuzzer-chosen
-// inputs: the fingerprint is deterministic, and invariant under a
-// derived permutation of variables and constraints.
+// FuzzFingerprint checks on fuzzer-chosen inputs that the fingerprint
+// is deterministic and has the 16-hex form.
 func FuzzFingerprint(f *testing.F) {
 	f.Add(int64(1), 5, 2)
 	f.Add(int64(99), 3, 1)
@@ -236,10 +265,68 @@ func FuzzFingerprint(f *testing.F) {
 		if again := Fingerprint(nVars, obj, cons); again != fp {
 			t.Fatalf("not deterministic: %s then %s", fp, again)
 		}
-		perm := rng.Perm(nVars)
-		_, pObj, pCons := permute(nVars, obj, cons, perm, rng)
-		if got := Fingerprint(nVars, pObj, pCons); got != fp {
-			t.Fatalf("permuted copy got %s, want %s (perm %v)", got, fp, perm)
-		}
 	})
+}
+
+// weightedBlocks builds one k x k permutation block per seed (every
+// row and every column picks exactly one cell), block b's cell weights
+// drawn from seeds[b]: blocks with equal seeds are equal components.
+func weightedBlocks(k int, seeds ...int64) *solver.Problem {
+	var cons []expr.Constraint
+	obj := expr.Lin{}
+	for b, seed := range seeds {
+		r := rand.New(rand.NewSource(seed))
+		idx := func(i, j int) expr.Var { return expr.Var(b*k*k + k*i + j) }
+		for i := 0; i < k; i++ {
+			var row, col []expr.Var
+			for j := 0; j < k; j++ {
+				row = append(row, idx(i, j))
+				col = append(col, idx(j, i))
+				obj = obj.AddTerm(idx(i, j), int64(1+r.Intn(9)))
+			}
+			cons = append(cons,
+				expr.NewConstraint(expr.Sum(row...), expr.EQ, 1),
+				expr.NewConstraint(expr.Sum(col...), expr.EQ, 1))
+		}
+	}
+	return &solver.Problem{NumVars: len(seeds) * k * k, Constraints: cons, Objective: obj}
+}
+
+// TestFingerprintNamesReuseClasses: across the layers, the report's
+// fingerprint is the solver's reuse identity when no derived flags
+// are set. Three equal blocks and a distinct one, every search
+// proven: each reused component carries the fingerprint of the
+// component it repeats, and components the solve searched apart have
+// different fingerprints.
+func TestFingerprintNamesReuseClasses(t *testing.T) {
+	rec := &solver.ExplainRecorder{}
+	opts := solver.DefaultOptions()
+	opts.Explain = rec
+	if _, _, err := solver.Bounds(context.Background(), weightedBlocks(6, 3, 3, 3, 5), opts); err != nil {
+		t.Fatal(err)
+	}
+	rep := Build("blocks", rec)
+	for _, run := range rep.Runs {
+		comps := run.Components
+		if len(comps) != 4 {
+			t.Fatalf("%s: %d components, want 4", run.Sense, len(comps))
+		}
+		searched := map[string]int{}
+		for _, c := range comps {
+			if c.Reused {
+				if _, ok := searched[c.Fingerprint]; !ok {
+					t.Errorf("%s: reused component %d has fingerprint %s, which no earlier searched component has", run.Sense, c.Index, c.Fingerprint)
+				}
+				continue
+			}
+			if prev, ok := searched[c.Fingerprint]; ok {
+				t.Errorf("%s: components %d and %d were searched apart but share fingerprint %s", run.Sense, prev, c.Index, c.Fingerprint)
+			}
+			searched[c.Fingerprint] = c.Index
+		}
+		if !comps[1].Reused || !comps[2].Reused || comps[3].Reused || len(searched) != 2 {
+			t.Errorf("%s: reused %v %v %v, %d searched classes; want the copies reused and 2 classes",
+				run.Sense, comps[1].Reused, comps[2].Reused, comps[3].Reused, len(searched))
+		}
+	}
 }

@@ -352,9 +352,6 @@ func solveAll(rec *ExplainRecorder, slots []ExplainComp, derived [][]bool, opts 
 // index when there is none. The search is a deterministic function of
 // the options and searchKey's inputs, and equal keys mean equal
 // inputs: the map only buckets by hash, and key equality decides.
-// (explain.Fingerprint is no such key: it is invariant under
-// renumbering, but the search breaks branching ties by variable id,
-// and its refinement ties can merge matrices that differ.)
 func classes(slots []ExplainComp, derived [][]bool) []int {
 	first := make([]int, len(slots))
 	seen := make(map[string]int, len(slots))
@@ -371,31 +368,45 @@ func classes(slots []ExplainComp, derived [][]bool) []int {
 	return first
 }
 
-// appendSearchKey appends a component's search inputs — variable
-// count, objective, derived flags and constraint rows — to b as
-// self-delimiting varints, so that two keys are equal exactly when
-// the inputs are.
-func appendSearchKey(b []byte, ec *ExplainComp, der []bool) []byte {
-	b = binary.AppendVarint(b, int64(ec.Vars))
-	for _, o := range ec.Obj {
+// AppendMatrix appends the encoding of a projected component to b:
+// the variable count, the objective and the constraint rows in
+// recorded order, as self-delimiting varints with the objective, the
+// row list and each row length-prefixed. Two encodings are equal
+// exactly when the inputs are (rows holding as many coefficients as
+// variables). It is a component's one identity: explain.Fingerprint
+// hashes it, and the within-solve reuse key extends it.
+func AppendMatrix(b []byte, vars int, obj []int64, cons []ExplainCon) []byte {
+	b = binary.AppendVarint(b, int64(vars))
+	b = binary.AppendVarint(b, int64(len(obj)))
+	for _, o := range obj {
 		b = binary.AppendVarint(b, o)
 	}
-	b = binary.AppendVarint(b, int64(len(der)))
-	for _, d := range der {
-		if d {
-			b = append(b, 1)
-		} else {
-			b = append(b, 0)
-		}
-	}
-	for i := range ec.Cons {
-		c := &ec.Cons[i]
+	b = binary.AppendVarint(b, int64(len(cons)))
+	for i := range cons {
+		c := &cons[i]
 		b = binary.AppendVarint(b, int64(c.Op))
 		b = binary.AppendVarint(b, c.RHS)
 		b = binary.AppendVarint(b, int64(len(c.Vars)))
 		for k, v := range c.Vars {
 			b = binary.AppendVarint(b, int64(v))
 			b = binary.AppendVarint(b, c.Coef[k])
+		}
+	}
+	return b
+}
+
+// appendSearchKey appends a component's search inputs to b: its
+// matrix encoding (AppendMatrix, what its fingerprint hashes) followed
+// by its derived flags, which the search reads and a certificate does
+// not carry.
+func appendSearchKey(b []byte, ec *ExplainComp, der []bool) []byte {
+	b = AppendMatrix(b, ec.Vars, ec.Obj, ec.Cons)
+	b = binary.AppendVarint(b, int64(len(der)))
+	for _, d := range der {
+		if d {
+			b = append(b, 1)
+		} else {
+			b = append(b, 0)
 		}
 	}
 	return b

@@ -6,6 +6,7 @@ import (
 
 	"licm/internal/core"
 	"licm/internal/encode"
+	"licm/internal/explain"
 	"licm/internal/expr"
 	"licm/internal/solver"
 	"licm/internal/super"
@@ -37,9 +38,10 @@ func mixConfig() Config {
 var mixQ3Spec = Spec{ID: 771, Kind: "q3", Agg: "count", PaLo: 774, PaHi: 999, PbLo: 258, PbHi: 379, X: 3}
 
 var (
-	benchEnc *encode.Encoded
-	benchObj expr.Lin
-	benchOut super.Outcome
+	benchEnc    *encode.Encoded
+	benchObj    expr.Lin
+	benchOut    super.Outcome
+	benchReport *explain.Report
 )
 
 // BenchmarkEncoderFactory measures one call of the Encoder factory:
@@ -103,14 +105,52 @@ func BenchmarkFactorySolveQ3(b *testing.B) {
 	benchSolve(b, newEnc, mixQ3Spec, super.ProvenInterval)
 }
 
-// benchSolve times core.BuildProblem plus both supervised solves of sp,
-// with the benchmark workloads' solver options (DefaultOptions, a 300 000
-// node budget, no witness completion), and checks the answer's quality.
-// The factory call and Spec.Build run with the timer stopped.
-func benchSolve(b *testing.B, newEnc func() *encode.Encoded, sp Spec, want super.Quality) {
+// BenchmarkExplainBuild measures building a query's licm-explain/1
+// report, which licmd and licmload do for every answer: each spec of
+// BenchmarkFactorySolve is solved once with a recorder, outside the
+// timer, and explain.Build runs on that record.
+func BenchmarkExplainBuild(b *testing.B) {
+	newEnc, err := lookupConfig().Encoder()
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, sp := range lookupSpecs {
+		b.Run(sp.Kind, func(b *testing.B) {
+			enc := newEnc()
+			obj, _, err := sp.Build(enc)
+			if err != nil {
+				b.Fatal(err)
+			}
+			rec := &solver.ExplainRecorder{}
+			opts := benchOptions()
+			opts.Explain = rec
+			out := super.Bounds(context.Background(), core.BuildProblem(enc.DB, obj), super.Config{Solver: opts})
+			if out.Quality != super.Exact {
+				b.Fatalf("%s: quality %v, want exact", sp.Name(), out.Quality)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				benchReport = explain.Build(sp.Name(), rec)
+			}
+		})
+	}
+}
+
+// benchOptions are the benchmark workloads' solver options:
+// DefaultOptions, a 300 000 node budget, no witness completion.
+func benchOptions() solver.Options {
 	opts := solver.DefaultOptions()
 	opts.MaxNodes = 300_000
 	opts.CompleteWitness = false
+	return opts
+}
+
+// benchSolve times core.BuildProblem plus both supervised solves of sp,
+// with benchOptions, and checks the answer's quality. The factory call
+// and Spec.Build run with the timer stopped.
+func benchSolve(b *testing.B, newEnc func() *encode.Encoded, sp Spec, want super.Quality) {
+	opts := benchOptions()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()

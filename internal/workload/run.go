@@ -274,7 +274,9 @@ func (cfg Config) remoteAnswer(sp Spec, rec *Record) error {
 
 // localAnswer runs the measured supervised solve: its own fork of the
 // base store, per-query deadline, explain recorder for fingerprint
-// attribution, sampled fallback at the bottom of the ladder.
+// attribution, sampled fallback at the bottom of the ladder (seeded
+// per spec as licmd seeds it, so a degraded spec samples the same
+// worlds locally and remotely).
 func (cfg Config) localAnswer(newEnc func() *encode.Encoded, sp Spec, rec *Record, census *explain.Census) error {
 	enc := newEnc()
 	enc.DB.SetTracer(cfg.Trace)
@@ -302,7 +304,7 @@ func (cfg Config) localAnswer(newEnc func() *encode.Encoded, sp Spec, rec *Recor
 	scfg := super.Config{
 		Solver: opts,
 		Sample: super.MCFallback(enc, obj,
-			seedflag.Derive(cfg.Seed, seedflag.FallbackStream), cfg.MCSamples),
+			seedflag.Derive(cfg.Seed, seedflag.FallbackStream)+int64(sp.ID), cfg.MCSamples),
 		Log: cfg.Log,
 	}
 	out := super.Bounds(ctx, core.BuildProblem(enc.DB, obj), scfg)

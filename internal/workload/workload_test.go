@@ -7,9 +7,12 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"licm/internal/explain"
+	"licm/internal/seedflag"
 	"licm/internal/solver"
+	"licm/internal/super"
 )
 
 // testConfig is a small fixed-seed run: large enough to exercise all
@@ -217,6 +220,46 @@ func TestExecuteRemoteSampledAnswer(t *testing.T) {
 	}
 	if sampled.Summary.Violations != 0 {
 		t.Fatalf("unproven sampled answers scored %d violations", sampled.Summary.Violations)
+	}
+}
+
+// TestExecuteSeedsFallbackPerSpec: a local run's sampled fallback is
+// seeded per spec, as licmd seeds it, so a degraded spec samples the
+// same worlds locally and remotely. A 1 ns deadline sends every spec
+// to the sampled rung; Monte-Carlo-only ground truth keeps it fast.
+func TestExecuteSeedsFallbackPerSpec(t *testing.T) {
+	cfg := testConfig()
+	cfg.Deadline = time.Nanosecond
+	cfg.ExactRefMaxVars = -1
+	specs := testSpecs(t, 3)
+	run, err := Execute(cfg, specs)
+	if err != nil {
+		t.Fatalf("Execute: %v", err)
+	}
+	newEnc, err := cfg.Encoder()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sampled := 0
+	for i, rec := range run.Records {
+		if rec.Quality != "sampled" {
+			continue
+		}
+		sampled++
+		sp := specs[i]
+		enc := newEnc()
+		obj, _, err := sp.Build(enc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lo, hi, _ := super.MCFallback(enc, obj,
+			seedflag.Derive(cfg.Seed, seedflag.FallbackStream)+int64(sp.ID), cfg.MCSamples)()
+		if rec.Lb != lo || rec.Ub != hi {
+			t.Errorf("%s: sampled [%d, %d], want the spec-seeded fallback's [%d, %d]", rec.Name, rec.Lb, rec.Ub, lo, hi)
+		}
+	}
+	if sampled == 0 {
+		t.Fatal("no spec degraded to the sampled rung")
 	}
 }
 
