@@ -47,6 +47,7 @@ type comp struct {
 	hasOpen      bool
 	exhausted    bool
 	stopAtFirst  bool // heuristic dive: stop at the first feasible leaf
+	leanZero     bool // direction dive without positive coefficients: weightless variables take 0 first
 	feasOnly     bool // all-zero objective: skip bound bookkeeping
 	done         bool
 
@@ -76,68 +77,10 @@ type comp struct {
 	lpDisabled bool
 	rootLP     int64 // root relaxation bound (valid upper bound)
 	hasRootLP  bool
-	valueHint  []int8 // per-variable preferred branch value from the root LP
-
-	// Incrementally-maintained objective state: cur is the value of
-	// the variables fixed to 1, optExtra the sum of positive
-	// coefficients of still-free variables. The node bound
-	// cur+optExtra is then O(1) instead of an O(n) rescan.
-	cur      int64
-	optExtra int64
-}
-
-// initObjTrack initializes cur/optExtra from the current domains.
-func (c *comp) initObjTrack() {
-	c.cur, c.optExtra = 0, 0
-	for v := 0; v < c.n; v++ {
-		switch c.prop.dom[v] {
-		case 1:
-			c.cur += c.obj[v]
-		case -1:
-			if c.obj[v] > 0 {
-				c.optExtra += c.obj[v]
-			}
-		}
-	}
-}
-
-// absorb accounts all variables fixed on the trail since `from`.
-func (c *comp) absorb(from int) {
-	for _, v := range c.prop.trail[from:] {
-		o := c.obj[v]
-		if o > 0 {
-			c.optExtra -= o
-		}
-		if c.prop.dom[v] == 1 {
-			c.cur += o
-		}
-	}
-}
-
-// fixT is prop.fix plus objective tracking; it returns the pre-fix
-// trail mark for undoT. Tracking happens even on conflict, since the
-// trail keeps the partial fixes until undoT reverses them.
-func (c *comp) fixT(v int32, val int8) (bool, int) {
-	m := c.prop.mark()
-	ok := c.prop.fix(v, val)
-	c.absorb(m)
-	return ok, m
-}
-
-// undoT reverses objective tracking and the propagator trail.
-func (c *comp) undoT(mark int) {
-	trail := c.prop.trail
-	for i := len(trail) - 1; i >= mark; i-- {
-		v := trail[i]
-		o := c.obj[v]
-		if c.prop.dom[v] == 1 {
-			c.cur -= o
-		}
-		if o > 0 {
-			c.optExtra += o
-		}
-	}
-	c.prop.undo(mark)
+	// valueHint is the root LP's rounded solution, per variable (-1
+	// where the LP had no column): the second seed dive and every DFS
+	// branch of the search try that value first.
+	valueHint []int8
 }
 
 // compResult is the outcome of solving one component.
@@ -184,7 +127,7 @@ func (c *comp) flushCtrl() bool {
 // the live bound and incumbents onto slot as the search goes.
 func solveComp(rec *ExplainRecorder, slot *ExplainComp, derived []bool, opts Options, budget *int64, kc *ctrl) compResult {
 	n, cons, obj := slot.Vars, slot.Cons, slot.Obj
-	prop := newPropagator(n, cons)
+	prop := newPropagator(n, cons, obj)
 	c := &comp{n: n, cons: cons, obj: obj, derived: derived, prop: prop, opts: opts, budget: budget, ctrl: kc,
 		rec: rec, slot: slot}
 	if kc.timingLatencies() {
@@ -201,7 +144,6 @@ func solveComp(rec *ExplainRecorder, slot *ExplainComp, derived []bool, opts Opt
 		return compResult{feasible: false, proven: true, props: prop.nAssigns}
 	}
 	c.buildOrder()
-	c.initObjTrack()
 	nFree := prop.numFree()
 	fitsLP := nFree <= maxLPVars && len(cons) <= maxLPRows
 	useLP := opts.UseLP && nFree > opts.DFSThreshold && fitsLP
@@ -214,46 +156,15 @@ func solveComp(rec *ExplainRecorder, slot *ExplainComp, derived []bool, opts Opt
 		c.budget = &b
 	}
 	if useLP {
-		// Solve the root relaxation once: its value caps the final
-		// reported bound, and its rounded solution steers the seed
-		// dive toward a good first incumbent (LP bounds can only
-		// prune once an incumbent exists, so solving relaxations
-		// during an unguided initial plunge is pure overhead). The
-		// relaxation covers the free part only, so root-fixed
-		// contributions (c.cur) are folded in; a non-finite objective
-		// (numerical corruption, exercised by fault injection) is
-		// discarded rather than trusted as a bound.
-		var hint []int8
-		if sol, status, cols := c.solveRelaxation(c.cur); status == simplex.Optimal && isFinite(sol.Obj) {
-			c.rootLP, c.hasRootLP = int64(math.Floor(sol.Obj+1e-6)), true
-			rec.refineUB(slot, c.rootLP)
-			hint = make([]int8, n)
-			for i := range hint {
-				hint[i] = -1
-			}
-			for col, v := range cols {
-				if sol.X[col] >= 0.5 {
-					hint[v] = 1
-				} else {
-					hint[v] = 0
-				}
-			}
-		}
-		diveBudget := int64(64*n + 2048)
-		d := &comp{n: n, cons: cons, obj: obj, derived: derived, prop: prop, opts: opts, rec: rec, slot: slot,
-			order: c.order, budget: &diveBudget, stopAtFirst: true, valueHint: hint}
-		d.initObjTrack()
-		d.dfsNode(0)
-		if d.hasIncumbent {
-			c.best, c.hasIncumbent, c.assign = d.best, true, d.assign
-		}
-		c.nodes += d.nodes
-		c.valueHint = hint
-		if c.hasIncumbent && c.hasRootLP && c.rootLP <= c.best {
-			// The seed already matches the relaxation bound: optimal.
-			c.lpPruned++
-		} else {
-			c.lpNode(0)
+		// The LP is solved only when a dive cannot close the component.
+		// The first seed dive leans every variable the objective's way;
+		// once its incumbent reaches the root's combinatorial bound (the
+		// fixed value plus every positive free coefficient), no
+		// relaxation can tighten it and the component is proven.
+		_, opt := c.curAndOptimistic()
+		c.dive(int64(64*n+2048), nil, !hasPositive(obj))
+		if !c.hasIncumbent || c.best < opt {
+			c.rootSearch()
 		}
 	} else {
 		c.dfsNode(0)
@@ -262,15 +173,7 @@ func solveComp(rec *ExplainRecorder, slot *ExplainComp, derived []bool, opts Opt
 		// The budget ran out before any feasible leaf was reached. Run
 		// a cheap heuristic dive (first feasible leaf, bounded
 		// backtracking) so an unproven value can still be reported.
-		diveBudget := int64(256*n + 4096)
-		d := &comp{n: n, cons: cons, obj: obj, derived: derived, prop: prop, opts: opts, rec: rec, slot: slot,
-			order: c.order, budget: &diveBudget, stopAtFirst: true}
-		d.initObjTrack()
-		d.dfsNode(0)
-		if d.hasIncumbent {
-			c.best, c.hasIncumbent, c.assign = d.best, true, d.assign
-		}
-		c.nodes += d.nodes
+		c.dive(int64(256*n+4096), nil, false)
 	}
 	if c.ctrl != nil {
 		// Final flush: exact totals (including heuristic-dive nodes,
@@ -307,6 +210,69 @@ func solveComp(rec *ExplainRecorder, slot *ExplainComp, derived []bool, opts Opt
 		}
 	}
 	return res
+}
+
+// rootSearch is the LP-bounded search of a component the direction
+// dive left open. It solves the root relaxation once: its value caps
+// the final reported bound, its rounded solution steers a second seed
+// dive toward a good incumbent (LP bounds can only prune once an
+// incumbent exists, so solving relaxations during an unguided initial
+// plunge is pure overhead), and the first LP node reuses it instead of
+// solving it again. The relaxation covers the free part only, so
+// root-fixed contributions (cur) are folded in; a non-finite objective
+// (numerical corruption, exercised by fault injection) is discarded
+// rather than trusted as a bound.
+func (c *comp) rootSearch() {
+	cur, _ := c.curAndOptimistic()
+	root := c.solveRelaxation(cur)
+	var hint []int8
+	if root.status == simplex.Optimal && isFinite(root.sol.Obj) {
+		c.rootLP, c.hasRootLP = int64(math.Floor(root.sol.Obj+1e-6)), true
+		c.rec.refineUB(c.slot, c.rootLP)
+		hint = make([]int8, c.n)
+		for i := range hint {
+			hint[i] = -1
+		}
+		for col, v := range root.cols {
+			if root.sol.X[col] >= 0.5 {
+				hint[v] = 1
+			} else {
+				hint[v] = 0
+			}
+		}
+	}
+	c.dive(int64(64*c.n+2048), hint, false)
+	c.valueHint = hint
+	if c.hasIncumbent && c.hasRootLP && c.rootLP <= c.best {
+		// The incumbent already matches the relaxation bound: optimal.
+		c.lpPruned++
+		return
+	}
+	c.lpNode(0, &root)
+}
+
+// dive runs a heuristic dive over c's propagator and branching
+// order: it stops at the first feasible leaf or after budget nodes,
+// which are its own and not charged to c's budget. Its nodes count
+// toward c's, and its incumbent replaces c's when better.
+func (c *comp) dive(budget int64, hint []int8, leanZero bool) {
+	d := &comp{n: c.n, cons: c.cons, obj: c.obj, derived: c.derived, prop: c.prop, opts: c.opts, rec: c.rec, slot: c.slot,
+		order: c.order, budget: &budget, stopAtFirst: true, valueHint: hint, leanZero: leanZero}
+	d.dfsNode(0)
+	if d.hasIncumbent && (!c.hasIncumbent || d.best > c.best) {
+		c.best, c.hasIncumbent, c.assign = d.best, true, d.assign
+	}
+	c.nodes += d.nodes
+}
+
+// hasPositive reports whether some objective coefficient is positive.
+func hasPositive(obj []int64) bool {
+	for _, o := range obj {
+		if o > 0 {
+			return true
+		}
+	}
+	return false
 }
 
 // isFinite reports whether x is a usable objective value: NaN and ±Inf
@@ -393,7 +359,7 @@ func quickSortByKeyDesc(ids []int32, key func(int32) int64) {
 // the optimistic completion bound (fixed value plus all positive free
 // coefficients), from the incrementally-maintained state.
 func (c *comp) curAndOptimistic() (cur, opt int64) {
-	return c.cur, c.cur + c.optExtra
+	return c.prop.cur, c.prop.cur + c.prop.optExtra
 }
 
 // spendNode consumes one unit of budget; it returns false when the
@@ -448,18 +414,27 @@ func (c *comp) recordIncumbent(val int64) {
 	c.rec.observeIncumbent(c.slot, val)
 }
 
-// preferredValue picks the branch value to try first: follow the
-// objective where it has an opinion; otherwise prefer 1, which is the
-// propagation-friendly direction for LICM constraint families
-// ("at least one of", bijection rows, AND-support for lineage) and
-// avoids the pathological all-zeros dive on lineage variables.
+// preferredValue picks the branch value to try first: the root LP's
+// rounding where there is one, else the objective's sign where the
+// variable has weight. A weightless variable takes 1, the
+// propagation-friendly direction for LICM constraint families ("at
+// least one of", bijection rows, AND-support for lineage) that avoids
+// the pathological all-zeros dive on lineage variables — except in the
+// direction dive of a component without positive coefficients
+// (leanZero), the minimization side of a count or sum. There it takes
+// 0: lineage built from selection, projection, join and COUNT >= X is
+// monotone in the base variables, so a base variable at 0 never turns a
+// result tuple on.
 func (c *comp) preferredValue(v int32) int8 {
 	if c.valueHint != nil {
 		if h := c.valueHint[v]; h >= 0 {
 			return h
 		}
 	}
-	if c.obj[v] < 0 {
+	switch o := c.obj[v]; {
+	case o > 0:
+		return 1
+	case o < 0 || c.leanZero:
 		return 0
 	}
 	return 1
@@ -520,17 +495,19 @@ func (c *comp) dfsNode(pos int) {
 	}
 	first := c.preferredValue(v)
 	for _, val := range [2]int8{first, 1 - first} {
-		ok, m := c.fixT(v, val)
-		if ok {
+		m := c.prop.mark()
+		if c.prop.fix(v, val) {
 			c.dfsNode(pos)
 		}
-		c.undoT(m)
+		c.prop.undo(m)
 	}
 }
 
 // lpNode explores the current node using an LP relaxation bound,
-// falling back to plain DFS once few variables remain free.
-func (c *comp) lpNode(pos int) {
+// falling back to plain DFS once few variables remain free. root is
+// the relaxation already solved at this node, or nil: only the root
+// call passes one.
+func (c *comp) lpNode(pos int, root *relaxation) {
 	if c.done {
 		return
 	}
@@ -551,8 +528,14 @@ func (c *comp) lpNode(pos int) {
 		c.abandon(opt)
 		return
 	}
-	sol, status, cols := c.solveRelaxation(cur)
-	switch status {
+	var rx relaxation
+	if root != nil {
+		rx = *root
+	} else {
+		rx = c.solveRelaxation(cur)
+	}
+	sol, cols := rx.sol, rx.cols
+	switch rx.status {
 	case simplex.Infeasible:
 		c.lpPruned++
 		return
@@ -603,39 +586,46 @@ func (c *comp) lpNode(pos int) {
 				break
 			}
 		}
-		c.absorb(m)
 		if ok && c.nextFree() == -1 {
 			c.lpPruned++
 			leafCur, _ := c.curAndOptimistic()
 			c.recordIncumbent(leafCur)
-			c.undoT(m)
+			c.prop.undo(m)
 			return
 		}
 		if ok {
 			// Propagation left untouched variables (constraint-free
 			// ones); finish them with DFS.
 			c.dfsNode(pos)
-			c.undoT(m)
+			c.prop.undo(m)
 			return
 		}
-		c.undoT(m)
+		c.prop.undo(m)
 		// The rounded point was invalid (numerics); branch normally on
 		// the first free variable.
 	}
 	v, prefer := c.branchVar(sol.X, cols)
 	for _, val := range [2]int8{prefer, 1 - prefer} {
-		ok, m := c.fixT(v, val)
-		if ok {
-			c.lpNode(pos)
+		m := c.prop.mark()
+		if c.prop.fix(v, val) {
+			c.lpNode(pos, nil)
 		}
-		c.undoT(m)
+		c.prop.undo(m)
 	}
 }
 
+// relaxation is a solved LP relaxation: its solution and status, and
+// cols, which maps LP column -> local variable.
+type relaxation struct {
+	sol    simplex.Solution
+	status simplex.Status
+	cols   []int32
+}
+
 // solveRelaxation builds and solves the LP relaxation of the free part
-// of the component. cols maps LP column -> local variable. The
-// returned objective includes the value of already-fixed variables.
-func (c *comp) solveRelaxation(fixedVal int64) (simplex.Solution, simplex.Status, []int32) {
+// of the component. The returned objective includes fixedVal, the
+// value of already-fixed variables.
+func (c *comp) solveRelaxation(fixedVal int64) relaxation {
 	c.lpSolves++
 	t0 := time.Now()
 	defer func() {
@@ -704,7 +694,7 @@ func (c *comp) solveRelaxation(fixedVal int64) (simplex.Solution, simplex.Status
 	if st == simplex.Optimal {
 		sol.Obj += float64(fixedVal)
 	}
-	return sol, st, cols
+	return relaxation{sol, st, cols}
 }
 
 // mostFractional returns the index of the entry farthest from

@@ -125,6 +125,12 @@ func abs64(x int64) int64 {
 // produced by heavy generalization, which can span hundreds of
 // variables. A constraint is queued only when its record shows that
 // check could act on it.
+//
+// Given a component's objective, the same walks keep the search's node
+// bound: cur is the value of the variables fixed to 1 and optExtra the
+// sum of positive coefficients of free variables, so cur+optExtra costs
+// O(1). Both are functions of dom alone, so searches that share the
+// propagator share them.
 type propagator struct {
 	cons []ExplainCon
 	recs []conRec
@@ -139,17 +145,26 @@ type propagator struct {
 	// not decrement it) — the propagation-work figure reported in
 	// Stats.Propagations and the solver.propagations counter.
 	nAssigns int64
+	// obj is nil when no objective is tracked (presolve, witness
+	// completion); cur and optExtra then stay 0.
+	obj      []int64
+	cur      int64
+	optExtra int64
 }
 
-func newPropagator(numVars int, cons []ExplainCon) *propagator {
+func newPropagator(numVars int, cons []ExplainCon, obj []int64) *propagator {
 	p := &propagator{
 		cons:     cons,
 		recs:     make([]conRec, len(cons)),
 		varStart: make([]int32, numVars+1),
 		dom:      make([]int8, numVars),
+		obj:      obj,
 	}
 	for i := range p.dom {
 		p.dom[i] = -1
+	}
+	for _, o := range obj {
+		p.optExtra += max(o, 0)
 	}
 	// First pass: the records, and each variable's term count.
 	for ci := range cons {
@@ -212,6 +227,11 @@ func (p *propagator) undo(mark int) {
 		v := p.trail[i]
 		val := p.dom[v]
 		p.dom[v] = -1
+		if p.obj != nil {
+			o := p.obj[v]
+			p.cur -= o * int64(val)
+			p.optExtra += max(o, 0)
+		}
 		for _, t := range p.terms(v) {
 			p.recs[t.ci].give(t.coef, val)
 		}
@@ -243,6 +263,11 @@ func (p *propagator) assign(v int32, val int8) {
 	p.nAssigns++
 	p.dom[v] = val
 	p.trail = append(p.trail, v)
+	if p.obj != nil {
+		o := p.obj[v]
+		p.cur += o * int64(val)
+		p.optExtra -= max(o, 0)
+	}
 	for _, t := range p.terms(v) {
 		p.recs[t.ci].take(t.coef, val)
 		p.enqueue(t.ci)

@@ -28,7 +28,7 @@ func TestToLconFoldsConstant(t *testing.T) {
 func TestFixForcesGroupMember(t *testing.T) {
 	// b0 + b1 + b2 >= 1: fixing b0 = b1 = 0 forces b2 = 1.
 	cons := lconsOf(3, expr.NewConstraint(expr.Sum(0, 1, 2), expr.GE, 1))
-	p := newPropagator(3, cons)
+	p := newPropagator(3, cons, nil)
 	if !p.fix(0, 0) || !p.fix(1, 0) {
 		t.Fatal("unexpected conflict")
 	}
@@ -42,7 +42,7 @@ func TestFixConflict(t *testing.T) {
 		expr.NewConstraint(expr.Sum(0, 1), expr.GE, 1),
 		expr.NewConstraint(expr.Sum(0, 1), expr.LE, 1),
 	)
-	p := newPropagator(2, cons)
+	p := newPropagator(2, cons, nil)
 	if !p.fix(0, 0) {
 		t.Fatal("first fix should succeed")
 	}
@@ -58,7 +58,7 @@ func TestFixConflict(t *testing.T) {
 }
 
 func TestFixAlreadyFixed(t *testing.T) {
-	p := newPropagator(1, nil)
+	p := newPropagator(1, nil, nil)
 	if !p.fix(0, 1) {
 		t.Fatal("fix failed")
 	}
@@ -76,7 +76,7 @@ func TestUndoRestoresActivities(t *testing.T) {
 		expr.NewConstraint(expr.NewLin(0,
 			expr.Term{Var: 0, Coef: 2}, expr.Term{Var: 1, Coef: -3}), expr.LE, 1),
 	)
-	p := newPropagator(4, cons)
+	p := newPropagator(4, cons, nil)
 	recs0 := append([]conRec(nil), p.recs...)
 	m := p.mark()
 	p.fix(0, 1)
@@ -137,7 +137,7 @@ func TestVarTermIndexOrder(t *testing.T) {
 		expr.NewConstraint(expr.Sum(0, 1, 2), expr.GE, 1),
 		expr.NewConstraint(expr.NewLin(0, expr.Term{Var: 2, Coef: -2}), expr.EQ, 0),
 	)
-	p := newPropagator(4, cons)
+	p := newPropagator(4, cons, nil)
 	want := make([][]termRef, 4)
 	for ci, c := range cons {
 		for ti, v := range c.Vars {
@@ -163,7 +163,7 @@ func TestPropagateAllRootFixes(t *testing.T) {
 		expr.NewConstraint(expr.Sum(0), expr.EQ, 1),
 		expr.NewConstraint(expr.Sum(0, 1), expr.LE, 1),
 	)
-	p := newPropagator(2, cons)
+	p := newPropagator(2, cons, nil)
 	if !p.propagateAll() {
 		t.Fatal("conflict at root")
 	}
@@ -178,7 +178,7 @@ func TestPropagateAllRootFixes(t *testing.T) {
 func TestNegativeCoefficientForcing(t *testing.T) {
 	// b0 - b1 >= 0 with b1 = 1 forces b0 = 1.
 	cons := lconsOf(2, expr.NewConstraint(expr.Sum(0).AddTerm(1, -1), expr.GE, 0))
-	p := newPropagator(2, cons)
+	p := newPropagator(2, cons, nil)
 	if !p.fix(1, 1) {
 		t.Fatal("conflict")
 	}
@@ -186,7 +186,7 @@ func TestNegativeCoefficientForcing(t *testing.T) {
 		t.Fatalf("b0 = %d, want 1", p.dom[0])
 	}
 	// And b0 = 0 forces b1 = 0 (fresh propagator).
-	p = newPropagator(2, cons)
+	p = newPropagator(2, cons, nil)
 	if !p.fix(0, 0) {
 		t.Fatal("conflict")
 	}
@@ -219,7 +219,7 @@ func TestQuickIncrementalActivitiesMatchRescan(t *testing.T) {
 		for i := range cons {
 			cons[i] = randomConstraint(r, numVars)
 		}
-		p := newPropagator(numVars, lconsOf(numVars, cons...))
+		p := newPropagator(numVars, lconsOf(numVars, cons...), nil)
 		var marks []int
 		for step := 0; step < 30; step++ {
 			if len(marks) > 0 && r.Intn(3) == 0 {
@@ -267,6 +267,62 @@ func TestQuickIncrementalActivitiesMatchRescan(t *testing.T) {
 	}
 }
 
+// TestObjectiveTrackingMatchesRescan does random fix/undo sequences
+// on a propagator given an objective and cross-checks its cur and
+// optExtra against a rescan of the domains, also right after a
+// conflict, when the trail still holds the partial fixes.
+func TestObjectiveTrackingMatchesRescan(t *testing.T) {
+	r := rand.New(rand.NewSource(41))
+	for trial := 0; trial < 100; trial++ {
+		numVars := 2 + r.Intn(8)
+		cons := make([]expr.Constraint, 1+r.Intn(5))
+		for i := range cons {
+			cons[i] = randomConstraint(r, numVars)
+		}
+		obj := make([]int64, numVars)
+		for v := range obj {
+			obj[v] = int64(r.Intn(9) - 4)
+		}
+		p := newPropagator(numVars, lconsOf(numVars, cons...), obj)
+		check := func(step int) {
+			var cur, optExtra int64
+			for v, d := range p.dom {
+				switch d {
+				case 1:
+					cur += obj[v]
+				case -1:
+					optExtra += max(obj[v], 0)
+				}
+			}
+			if p.cur != cur || p.optExtra != optExtra {
+				t.Fatalf("trial %d step %d: tracked (cur %d, optExtra %d), rescan (%d, %d)",
+					trial, step, p.cur, p.optExtra, cur, optExtra)
+			}
+		}
+		check(-1)
+		var marks []int
+		for step := 0; step < 30; step++ {
+			if len(marks) > 0 && r.Intn(3) == 0 {
+				i := r.Intn(len(marks))
+				p.undo(marks[i])
+				marks = marks[:i]
+			} else {
+				v := int32(r.Intn(numVars))
+				if p.dom[v] != -1 {
+					continue
+				}
+				marks = append(marks, p.mark())
+				if !p.fix(v, int8(r.Intn(2))) {
+					check(step)
+					p.undo(marks[len(marks)-1])
+					marks = marks[:len(marks)-1]
+				}
+			}
+			check(step)
+		}
+	}
+}
+
 // TestPropagationSoundness: propagation-forced values appear in every
 // brute-force solution extending the fixed prefix.
 func TestPropagationSoundness(t *testing.T) {
@@ -278,7 +334,7 @@ func TestPropagationSoundness(t *testing.T) {
 		for i := range cons {
 			cons[i] = randomConstraint(r, numVars)
 		}
-		p := newPropagator(numVars, lconsOf(numVars, cons...))
+		p := newPropagator(numVars, lconsOf(numVars, cons...), nil)
 		v0 := int32(r.Intn(numVars))
 		val0 := int8(r.Intn(2))
 		okProp := p.propagateAll() && p.fix(v0, val0)
@@ -332,7 +388,7 @@ func TestPropagationReachesFixpoint(t *testing.T) {
 	conflicts, forced := 0, 0
 	for trial := 0; trial < 300; trial++ {
 		numVars := 2 + r.Intn(12)
-		p := newPropagator(numVars, lconsOf(numVars, plantedConstraints(r, numVars, 1+r.Intn(8))...))
+		p := newPropagator(numVars, lconsOf(numVars, plantedConstraints(r, numVars, 1+r.Intn(8))...), nil)
 		if !p.propagateAll() {
 			t.Fatalf("trial %d: conflict at the root of a satisfiable system", trial)
 		}

@@ -177,7 +177,7 @@ func solve(ctx context.Context, p *Problem, opts Options, minimized bool) (res R
 	for i, c := range kept {
 		lcons[i] = toLcon(c, dense)
 	}
-	prop := newPropagator(n, lcons)
+	prop := newPropagator(n, lcons, nil)
 	feasible := prop.propagateAll()
 	res.Stats.FixedByPresolve = len(prop.trail)
 	res.Stats.Propagations = prop.nAssigns
@@ -613,7 +613,7 @@ func completeWitness(numVars int, dropped []expr.Constraint, assign []uint8, opt
 	// never move the objective, so they must not reach the run's.
 	scratch := &ExplainRecorder{}
 	obj := make([]int64, numVars)
-	prop := newPropagator(numVars, lcons)
+	prop := newPropagator(numVars, lcons, nil)
 	if !prop.propagateAll() {
 		return false, true
 	}

@@ -161,10 +161,15 @@ func TestChaosSweep(t *testing.T) {
 	fixtures := []struct {
 		name string
 		p    *solver.Problem
+		lp   bool // the solve must reach LP pivots
 	}{
-		{"groups", distinctGroupsProblem(20)},
-		{"groups-reused", groupsProblem(20)},
-		{"orcount", orCountProblem(60, 6, 3)},
+		{"groups", distinctGroupsProblem(20), false},
+		{"groups-reused", groupsProblem(20), false},
+		// 124 customers: the supervised solve reaches 275 LP pivots,
+		// so the pivot probes stride 11 over hits 0..264. At 60
+		// customers the direction dive closes enough components
+		// without an LP to leave 125 pivots.
+		{"orcount", orCountProblem(124, 6, 3), true},
 	}
 	siteActions := map[faultinject.Site][]faultinject.Action{
 		faultinject.CtrlBatch: {faultinject.Panic, faultinject.Cancel},
@@ -189,6 +194,9 @@ func TestChaosSweep(t *testing.T) {
 		checkOutcome(t, fx.name+"/clean", out, refMin, refMax)
 		if hits[faultinject.CtrlBatch] == 0 {
 			t.Fatalf("%s: no ctrl batch boundaries reached — sweep would be empty", fx.name)
+		}
+		if fx.lp && hits[faultinject.LPPivot] == 0 {
+			t.Fatalf("%s: no LP pivots reached — the sweep would lose its NaN/Inf pivot probes", fx.name)
 		}
 
 		for site, actions := range siteActions {
