@@ -49,20 +49,19 @@ import (
 	"text/tabwriter"
 	"time"
 
-	"licm/internal/anon"
 	"licm/internal/cert"
 	"licm/internal/cliexit"
 	"licm/internal/core"
 	"licm/internal/dataset"
 	"licm/internal/encode"
 	"licm/internal/explain"
-	"licm/internal/hierarchy"
 	"licm/internal/mc"
 	"licm/internal/obs"
 	"licm/internal/queries"
 	"licm/internal/seedflag"
 	"licm/internal/solver"
 	"licm/internal/super"
+	"licm/internal/workload"
 )
 
 func main() {
@@ -146,7 +145,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	start := time.Now()
-	enc, err := buildEncoding(d, *scheme, *k, *m, *minSupp, *fanout)
+	// Suppression takes its support threshold from -minsupport, every
+	// other scheme its anonymity parameter from -k.
+	kk := *k
+	if *scheme == "suppress" {
+		kk = *minSupp
+	}
+	enc, err := workload.Anonymize(d, *scheme, kk, *m, *fanout)
 	if err != nil {
 		return fail(err)
 	}
@@ -197,6 +202,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	opts := solver.DefaultOptions()
 	opts.MaxNodes = *maxNodes
+	// licmq prints bounds, never the optimal world, so it skips
+	// completing one.
+	opts.CompleteWitness = false
 	opts.Metrics = metrics
 	opts.Check = *vet
 	// -timelimit and -deadline share one context, so the earlier of
@@ -248,8 +256,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 				res.Stats.TotalTime.Round(time.Millisecond), *timeLimit)
 		}
 		fmt.Fprintf(stdout, "timing: L-model %v, L-query %v, L-solve %v\n", tModel, tQuery, tSolve)
-		fmt.Fprintf(stdout, "solve phases: prune %v, presolve %v, search %v, witness %v\n",
-			res.Stats.PruneTime, res.Stats.PresolveTime, res.Stats.SearchTime, res.Stats.WitnessTime)
+		fmt.Fprintf(stdout, "solve phases: prune %v, presolve %v, search %v\n",
+			res.Stats.PruneTime, res.Stats.PresolveTime, res.Stats.SearchTime)
 		fmt.Fprintf(stdout, "problem: %d vars, %d constraints; after pruning %d vars, %d constraints; %d components, %d nodes, %d LP solves, %d propagations\n",
 			res.Stats.VarsBefore, res.Stats.ConsBefore,
 			res.Stats.VarsAfterPrune, res.Stats.ConsAfterPrune,
@@ -257,10 +265,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if res.Stats.AllocBytes > 0 || res.Stats.PeakHeap > 0 {
 			fmt.Fprintf(stdout, "memory: %.1f MiB allocated during solve, peak heap %.1f MiB\n",
 				float64(res.Stats.AllocBytes)/(1<<20), float64(res.Stats.PeakHeap)/(1<<20))
-		}
-		if res.Stats.WitnessExhausted {
-			logger.Warn("witness completion exhausted its node budget",
-				"query", q.Name(), "nodes", res.Stats.Nodes)
 		}
 		for _, h := range []struct{ name, label string }{
 			{"solver.lp_ns", "LP relaxation latency"},
@@ -351,10 +355,9 @@ func printExplain(w io.Writer, rep *explain.Report) {
 		if run.Quality != "" {
 			fmt.Fprintf(w, " quality=%s", run.Quality)
 		}
-		fmt.Fprintf(w, " nodes=%d lp_solves=%d propagations=%d search=%v witness=%v total=%v",
+		fmt.Fprintf(w, " nodes=%d lp_solves=%d propagations=%d search=%v total=%v",
 			run.Nodes, run.LPSolves, run.Propagations,
 			time.Duration(run.SearchNs).Round(time.Microsecond),
-			time.Duration(run.WitnessNs).Round(time.Microsecond),
 			time.Duration(run.TotalNs).Round(time.Microsecond))
 		if run.Canceled {
 			fmt.Fprint(w, " canceled")
@@ -437,43 +440,4 @@ func runSupervised(ctx context.Context, stdout io.Writer, enc *encode.Encoded, r
 		return cliexit.Degraded
 	}
 	return cliexit.OK
-}
-
-func buildEncoding(d *dataset.Dataset, scheme string, k, m, minSupp, fanout int) (*encode.Encoded, error) {
-	switch scheme {
-	case "km":
-		h, err := hierarchy.Build(len(d.Items), fanout, nil)
-		if err != nil {
-			return nil, err
-		}
-		g, err := anon.KmAnonymize(d, h, k, m)
-		if err != nil {
-			return nil, err
-		}
-		return encode.Generalized(g, d.Items), nil
-	case "k":
-		h, err := hierarchy.Build(len(d.Items), fanout, nil)
-		if err != nil {
-			return nil, err
-		}
-		g, err := anon.KAnonymize(d, h, k)
-		if err != nil {
-			return nil, err
-		}
-		return encode.Generalized(g, d.Items), nil
-	case "bipartite":
-		bg, err := anon.BipartiteAnonymize(d, k, k)
-		if err != nil {
-			return nil, err
-		}
-		return encode.Bipartite(d, bg), nil
-	case "suppress":
-		s, err := anon.SuppressAnonymize(d, minSupp)
-		if err != nil {
-			return nil, err
-		}
-		return encode.Suppressed(s, d.Items), nil
-	default:
-		return nil, fmt.Errorf("unknown scheme %q", scheme)
-	}
 }

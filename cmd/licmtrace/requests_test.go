@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"licm/internal/serve"
+	"licm/internal/workload"
 )
 
 // writeDump builds a synthetic flight-recorder dump on disk.
@@ -31,7 +32,8 @@ func writeDump(t *testing.T, name string, mutate func(*serve.Recorder)) string {
 }
 
 func reqEntry(id string, totalNs int64, quality string, panicked bool) *serve.RecordedRequest {
-	resp := &serve.Response{Schema: serve.ResponseSchema, RequestID: id, Name: "q1-count", Quality: quality}
+	resp := &serve.Response{Schema: serve.ResponseSchema, Name: "q1-count",
+		Answer: workload.Answer{RequestID: id, Quality: quality}}
 	if panicked {
 		resp.PanicsRecovered = 1
 	}

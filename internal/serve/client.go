@@ -97,19 +97,7 @@ func (c *Client) Answer(sp workload.Spec) (*workload.Answer, error) {
 	if resp.Err != nil {
 		return nil, fmt.Errorf("serve: %s: server error %s: %s", sp.Name(), resp.Err.Code, resp.Err.Message)
 	}
-	return &workload.Answer{
-		Quality:              resp.Quality,
-		RequestID:            resp.RequestID,
-		Shed:                 resp.Shed,
-		Lb:                   resp.Lb,
-		Ub:                   resp.Ub,
-		Infeasible:           resp.Infeasible,
-		LatencyNs:            resp.LatencyNs,
-		Vars:                 resp.Vars,
-		Cons:                 resp.Cons,
-		Components:           resp.Components,
-		DistinctFingerprints: resp.DistinctFingerprints,
-	}, nil
+	return &resp.Answer, nil
 }
 
 // Healthz reports whether the server's liveness endpoint answers 200.

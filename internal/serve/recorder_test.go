@@ -9,6 +9,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"licm/internal/workload"
 )
 
 // entry builds a minimal recorded request for recorder tests.
@@ -17,7 +19,7 @@ func entry(id string, totalNs int64, mutate func(*RecordedRequest)) *RecordedReq
 		RequestID: id,
 		Start:     time.Unix(0, 0),
 		TotalNs:   totalNs,
-		Response:  &Response{Schema: ResponseSchema, RequestID: id, Quality: "exact"},
+		Response:  &Response{Schema: ResponseSchema, Answer: workload.Answer{RequestID: id, Quality: "exact"}},
 	}
 	if mutate != nil {
 		mutate(e)

@@ -111,48 +111,24 @@ type ErrorInfo struct {
 
 // Response is one answered (or refused) query. Exactly one of the two
 // shapes is populated: a ladder answer (Quality set, Err nil) or a
-// typed error (Err set, Quality empty).
+// typed error (Err set, Quality empty). The measured answer is the
+// embedded workload.Answer, the same struct a licm-load/1 record
+// embeds; its Quality is never "failed" here (a ladder outcome with no
+// usable value surfaces as an ErrInternal typed error instead), and
+// its RequestID is the server-assigned (or client-proposed and
+// accepted) id of this request, echoed on the X-Licm-Request-Id
+// response header as well. That id keys the server-side forensics: the
+// request_id attribute on every trace span the request produced, the
+// flight-recorder entry at /debug/licm/requests, and the request_id
+// field of a licm-load/1 record scored against this server.
 type Response struct {
 	Schema string `json:"schema"`
 	ID     int    `json:"id"`
 	Name   string `json:"name,omitempty"`
-	// RequestID is the server-assigned (or client-proposed and
-	// accepted) id of this request, echoed on the X-Licm-Request-Id
-	// response header as well. It keys the server-side forensics: the
-	// request_id attribute on every trace span the request produced,
-	// the flight-recorder entry at /debug/licm/requests, and the
-	// request_id field of a licm-load/1 record scored against this
-	// server.
-	RequestID string `json:"request_id,omitempty"`
+	workload.Answer
 
-	// Quality is the supervisor's ladder tag: exact, proven-interval
-	// or sampled. The failed rung never crosses the wire — a ladder
-	// outcome with no usable value surfaces as an ErrInternal typed
-	// error instead.
-	Quality string `json:"quality,omitempty"`
-	// Lb/Ub are the reported bounds; Proven mirrors the ladder
-	// semantics (true only for exact and proven-interval).
-	Lb         int64 `json:"lb"`
-	Ub         int64 `json:"ub"`
-	Proven     bool  `json:"proven"`
-	Infeasible bool  `json:"infeasible,omitempty"`
-	// Shed marks an answer produced on the overload shed path: the
-	// query skipped the solver queue entirely and was answered with a
-	// Monte-Carlo estimate at the sampled ladder rung.
-	Shed bool `json:"shed,omitempty"`
-
-	// LatencyNs is the server-side answer wall time (solve or shed
-	// estimate); QueueNs the admission wait before a worker picked the
-	// query up.
-	LatencyNs int64 `json:"latency_ns"`
-	QueueNs   int64 `json:"queue_ns,omitempty"`
-
-	// Problem shape and decomposition of the answering solve (zero on
-	// the shed path, which never builds a solver problem).
-	Vars                 int `json:"vars,omitempty"`
-	Cons                 int `json:"cons,omitempty"`
-	Components           int `json:"components,omitempty"`
-	DistinctFingerprints int `json:"distinct_fingerprints,omitempty"`
+	// QueueNs is the admission wait before a worker picked the query up.
+	QueueNs int64 `json:"queue_ns,omitempty"`
 
 	// Supervisor robustness counters for this request.
 	Retries         int `json:"retries,omitempty"`

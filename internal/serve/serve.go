@@ -45,14 +45,10 @@ import (
 	"sync/atomic"
 	"time"
 
-	"licm/internal/core"
 	"licm/internal/encode"
 	"licm/internal/explain"
 	"licm/internal/faultinject"
-	"licm/internal/mc"
 	"licm/internal/obs"
-	"licm/internal/seedflag"
-	"licm/internal/solver"
 	"licm/internal/super"
 	"licm/internal/workload"
 )
@@ -570,7 +566,10 @@ func (s *Server) guardedAnswer(t *task) (resp *Response) {
 	return s.answer(t)
 }
 
-// answer runs the full supervised solve for one request.
+// answer runs the full supervised solve for one request through the
+// workload's producer and adds what serving needs: typed errors, the
+// per-request tracer and retry seed, the quality counters and the
+// report for the flight recorder.
 func (s *Server) answer(t *task) *Response {
 	req := t.req
 	tr := t.tr
@@ -580,54 +579,26 @@ func (s *Server) answer(t *task) *Response {
 		tr = s.tr
 	}
 	resp := &Response{Schema: ResponseSchema, ID: req.Spec.ID, Name: req.Spec.Name()}
-	start := time.Now()
-	enc := s.newEnc()
-	enc.DB.SetTracer(tr)
-	obj, _, err := req.Spec.Build(enc)
+	// The retry seed jitters per request, so a fault that survives one
+	// request's perturbed-order retry is explored differently by the
+	// next instead of replaying the identical crash path fleet-wide.
+	n := s.reqSeq.Add(1)
+	seed := s.cfg.Workload.Seed ^ int64(uint64(n)*0x9e3779b97f4a7c15)
+	a, out, rep, err := s.cfg.Workload.Solve(t.ctx, s.newEnc, req.Spec, tr, seed)
 	if err != nil {
 		s.reg.Counter("serve.rejected").Inc()
 		resp.Err = &ErrorInfo{Code: ErrBadRequest, Message: trim(err.Error())}
 		return resp
 	}
-	resp.Vars, resp.Cons = enc.DB.NumVars(), enc.DB.NumConstraints()
-
-	opts := s.cfg.Workload.Solver
-	opts.Trace = tr
-	opts.Metrics = s.reg
-	xrec := &solver.ExplainRecorder{}
-	opts.Explain = xrec
-
-	// The retry seed jitters per request, so a fault that survives one
-	// request's perturbed-order retry is explored differently by the
-	// next instead of replaying the identical crash path fleet-wide.
-	n := s.reqSeq.Add(1)
-	seed := s.cfg.Workload.Seed
-	scfg := super.Config{
-		Solver: opts,
-		Sample: super.MCFallback(enc, obj,
-			seedflag.Derive(seed, seedflag.FallbackStream)+int64(req.Spec.ID), s.cfg.Workload.MCSamples),
-		RetrySeed: seed ^ int64(uint64(n)*0x9e3779b97f4a7c15),
-		Log:       s.log,
-	}
-	out := super.Bounds(t.ctx, core.BuildProblem(enc.DB, obj), scfg)
-	resp.LatencyNs = int64(time.Since(start))
+	t.explain = rep
+	resp.Answer = a
 	resp.Retries = out.Retries
 	resp.PanicsRecovered = out.PanicsRecovered
 
-	rep := explain.Build(resp.Name, xrec)
-	t.explain = rep
-	fps := map[string]bool{}
-	for ri := range rep.Runs {
-		resp.Components += len(rep.Runs[ri].Components)
-		for ci := range rep.Runs[ri].Components {
-			fps[rep.Runs[ri].Components[ci].Fingerprint] = true
-		}
-	}
-	resp.DistinctFingerprints = len(fps)
-
 	if out.Quality == super.Failed {
 		// The ladder produced nothing usable; keep the wire contract
-		// (never an untyped failure) by converting to a typed error.
+		// (never an untyped failure) by converting to a typed error
+		// that claims no answer.
 		s.reg.Counter("serve.failed").Inc()
 		msg := "no usable result"
 		if out.Min.Err != nil {
@@ -635,21 +606,18 @@ func (s *Server) answer(t *task) *Response {
 		} else if out.Max.Err != nil {
 			msg = out.Max.Err.Error()
 		}
+		resp.Quality, resp.Lb, resp.Ub = "", 0, 0
 		resp.Err = &ErrorInfo{Code: ErrInternal, Message: trim("ladder exhausted: " + msg)}
 		return resp
 	}
-
-	resp.Quality = out.Quality.String()
-	resp.Infeasible = out.Infeasible
-	resp.Lb, resp.Ub = out.Interval()
-	resp.Proven = out.Quality == super.Exact || out.Quality == super.ProvenInterval
 	s.countQuality(resp.Quality)
 	return resp
 }
 
-// shedAnswer is the overload path: no queue, no solver — a direct
-// Monte-Carlo estimate of the objective at the sampled ladder rung.
-// tr is the request's forked tracer (may be nil).
+// shedAnswer is the overload path: no queue, no solver — the spec's
+// sampled fallback (workload.Config.Fallback) with ShedSamples worlds,
+// answered at the sampled ladder rung. tr is the request's forked
+// tracer (may be nil).
 func (s *Server) shedAnswer(req *Request, tr *obs.Tracer) (resp *Response) {
 	defer func() {
 		if v := recover(); v != nil {
@@ -673,13 +641,9 @@ func (s *Server) shedAnswer(req *Request, tr *obs.Tracer) (resp *Response) {
 		resp.Err = &ErrorInfo{Code: ErrBadRequest, Message: trim(err.Error())}
 		return resp
 	}
-	sampler := mc.NewSampler(enc,
-		seedflag.Derive(s.cfg.Workload.Seed, seedflag.FallbackStream)+int64(req.Spec.ID))
-	est := sampler.EstimateObjective(obj, s.cfg.ShedSamples)
-	resp.Quality = "sampled"
-	resp.Shed = true
-	resp.Lb, resp.Ub = est.Min, est.Max
-	resp.LatencyNs = int64(time.Since(start))
+	lo, hi, _ := s.cfg.Workload.Fallback(enc, obj, req.Spec, s.cfg.ShedSamples)()
+	resp.Answer = workload.Answer{Quality: "sampled", Shed: true, Lb: lo, Ub: hi,
+		LatencyNs: int64(time.Since(start))}
 	s.countQuality(resp.Quality)
 	return resp
 }

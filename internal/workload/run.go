@@ -12,6 +12,7 @@ import (
 	"licm/internal/dataset"
 	"licm/internal/encode"
 	"licm/internal/explain"
+	"licm/internal/expr"
 	"licm/internal/hierarchy"
 	"licm/internal/mc"
 	"licm/internal/obs"
@@ -47,7 +48,9 @@ type Config struct {
 	// the ground-truth sampler, and the supervisor's fallback all
 	// derive their streams from it.
 	Seed int64
-	// Deadline caps each query's supervised solve; 0 means none.
+	// Deadline caps each local answer (fork, query build and
+	// supervised solve, as licmd's request deadline does); 0 means
+	// none.
 	Deadline time.Duration
 	// MCSamples sizes the ground-truth estimate, the containment
 	// cross-check and the degraded-mode fallback.
@@ -55,7 +58,8 @@ type Config struct {
 	// ExactRefMaxVars overrides DefaultExactRefMaxVars; negative
 	// disables exact references entirely (ground truth is always MC).
 	ExactRefMaxVars int
-	// Solver holds the base options of the measured solve.
+	// Solver holds the base options of the measured solve; Solve sets
+	// its Trace and Explain per answer.
 	Solver solver.Options
 
 	Trace   *obs.Tracer
@@ -78,34 +82,6 @@ type Config struct {
 	// in-process solves. The dataset parameters above must match the
 	// server's store for the scoring to be sound.
 	Answer func(Spec) (*Answer, error)
-}
-
-// Answer is one measured answer of a workload spec, however produced:
-// the local supervised solve or a remote licmd response. Proven-ness
-// is derived from Quality, not carried, so a confused remote cannot
-// claim proven sampled bounds.
-type Answer struct {
-	// Quality is the supervisor ladder tag: exact, proven-interval,
-	// sampled or failed.
-	Quality string
-	// RequestID is the server-assigned request id of a remote answer
-	// (empty for local solves). It keys the client-side record to the
-	// server's forensics: the request_id trace attribute and the flight
-	// recorder entry at /debug/licm/requests.
-	RequestID string
-	// Shed marks a remote answer produced on the overload shed path.
-	Shed       bool
-	Lb, Ub     int64
-	Infeasible bool
-	// LatencyNs is the measured answer latency. Remote sources report
-	// the client-observed round trip, so serving overhead (queueing,
-	// transport) is part of the scored figure.
-	LatencyNs int64
-	// Problem shape and decomposition of the answering solve, as
-	// reported by the source.
-	Vars, Cons           int
-	Components           int
-	DistinctFingerprints int
 }
 
 // Normalized fills the config's zero values with defaults. Execute
@@ -139,8 +115,8 @@ func (cfg Config) Normalized() Config {
 	return cfg
 }
 
-// Encoder generates the dataset, anonymizes it and encodes the base
-// store once, returning a factory whose every call forks that base
+// Encoder generates the dataset, anonymizes and encodes it once
+// (Anonymize), returning a factory whose every call forks that base
 // (encode.Encoded.Fork). Queries grow the store they run against
 // (BuildLICM adds auxiliary variables and constraints); each grows its
 // own fork, which reads the base in place and leaves it untouched, so
@@ -157,39 +133,50 @@ func (cfg Config) Encoder() (func() *encode.Encoded, error) {
 	if err != nil {
 		return nil, err
 	}
-	var base *encode.Encoded
-	switch cfg.Scheme {
+	base, err := Anonymize(d, cfg.Scheme, cfg.K, cfg.M, cfg.HierarchyFanout)
+	if err != nil {
+		return nil, err
+	}
+	return base.Fork, nil
+}
+
+// Anonymize anonymizes d under scheme and encodes the result as an
+// LICM store. Scheme is "km" (k^m-anonymity with subset size m) or "k"
+// (k-anonymity), both generalizing over a fanout-ary item hierarchy;
+// "bipartite" ((k, k) safe grouping); or "suppress", where k is the
+// support threshold below which items are suppressed.
+func Anonymize(d *dataset.Dataset, scheme string, k, m, fanout int) (*encode.Encoded, error) {
+	switch scheme {
 	case "km", "k":
-		h, err := hierarchy.Build(cfg.NumItems, cfg.HierarchyFanout, nil)
+		h, err := hierarchy.Build(len(d.Items), fanout, nil)
 		if err != nil {
 			return nil, err
 		}
 		var g *anon.Generalized
-		if cfg.Scheme == "km" {
-			g, err = anon.KmAnonymize(d, h, cfg.K, cfg.M)
+		if scheme == "km" {
+			g, err = anon.KmAnonymize(d, h, k, m)
 		} else {
-			g, err = anon.KAnonymize(d, h, cfg.K)
+			g, err = anon.KAnonymize(d, h, k)
 		}
 		if err != nil {
 			return nil, err
 		}
-		base = encode.Generalized(g, d.Items)
+		return encode.Generalized(g, d.Items), nil
 	case "bipartite":
-		bg, err := anon.BipartiteAnonymize(d, cfg.K, cfg.K)
+		bg, err := anon.BipartiteAnonymize(d, k, k)
 		if err != nil {
 			return nil, err
 		}
-		base = encode.Bipartite(d, bg)
+		return encode.Bipartite(d, bg), nil
 	case "suppress":
-		s, err := anon.SuppressAnonymize(d, cfg.K)
+		s, err := anon.SuppressAnonymize(d, k)
 		if err != nil {
 			return nil, err
 		}
-		base = encode.Suppressed(s, d.Items)
+		return encode.Suppressed(s, d.Items), nil
 	default:
-		return nil, fmt.Errorf("workload: unknown scheme %q", cfg.Scheme)
+		return nil, fmt.Errorf("workload: unknown scheme %q", scheme)
 	}
-	return base.Fork, nil
 }
 
 // Execute runs every spec through the supervised solver and scores
@@ -250,90 +237,104 @@ func (cfg Config) runOne(newEnc func() *encode.Encoded, sp Spec, census *explain
 	return rec, nil
 }
 
-// remoteAnswer fills the measured fields of rec from the configured
-// remote answer source. Proven-ness is recomputed from the quality
-// tag so the local containment checks never trust a remote claim the
-// ladder semantics would not grant.
+// remoteAnswer takes rec's answer from the configured remote answer
+// source. Proven-ness is recomputed from the quality tag so the local
+// containment checks never trust a remote claim the ladder semantics
+// would not grant.
 func (cfg Config) remoteAnswer(sp Spec, rec *Record) error {
 	a, err := cfg.Answer(sp)
 	if err != nil {
 		return fmt.Errorf("workload: %s: %w", rec.Name, err)
 	}
-	rec.Quality = a.Quality
-	rec.RequestID = a.RequestID
-	rec.Shed = a.Shed
-	rec.LatencyNs = a.LatencyNs
-	rec.Infeasible = a.Infeasible
-	rec.Lb, rec.Ub = a.Lb, a.Ub
-	rec.Proven = a.Quality == "exact" || a.Quality == "proven-interval"
-	rec.Vars, rec.Cons = a.Vars, a.Cons
-	rec.Components = a.Components
-	rec.DistinctFingerprints = a.DistinctFingerprints
+	rec.Answer = *a
+	rec.Proven = provenQuality(a.Quality)
 	return nil
 }
 
-// localAnswer runs the measured supervised solve: its own fork of the
-// base store, per-query deadline, explain recorder for fingerprint
-// attribution, sampled fallback at the bottom of the ladder (seeded
-// per spec as licmd seeds it, so a degraded spec samples the same
-// worlds locally and remotely).
+// localAnswer answers sp with Solve under the per-query deadline and
+// feeds the solve's report to the run's census (and the caller's, when
+// attached) so tightness can be attributed to component shapes across
+// the workload.
 func (cfg Config) localAnswer(newEnc func() *encode.Encoded, sp Spec, rec *Record, census *explain.Census) error {
-	enc := newEnc()
-	enc.DB.SetTracer(cfg.Trace)
-	obj, _, err := sp.Build(enc)
-	if err != nil {
-		return fmt.Errorf("workload: %s: %w", rec.Name, err)
-	}
-	rec.Vars, rec.Cons = enc.DB.NumVars(), enc.DB.NumConstraints()
-
-	opts := cfg.Solver
-	if opts.Trace == nil {
-		opts.Trace = cfg.Trace
-	}
-	if opts.Metrics == nil {
-		opts.Metrics = cfg.Metrics
-	}
-	xrec := &solver.ExplainRecorder{}
-	opts.Explain = xrec
 	ctx := context.Background()
 	if cfg.Deadline > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, cfg.Deadline)
 		defer cancel()
 	}
-	scfg := super.Config{
-		Solver: opts,
-		Sample: super.MCFallback(enc, obj,
-			seedflag.Derive(cfg.Seed, seedflag.FallbackStream)+int64(sp.ID), cfg.MCSamples),
-		Log: cfg.Log,
+	a, _, rep, err := cfg.Solve(ctx, newEnc, sp, cfg.Trace, 0)
+	if err != nil {
+		return fmt.Errorf("workload: %s: %w", rec.Name, err)
 	}
-	out := super.Bounds(ctx, core.BuildProblem(enc.DB, obj), scfg)
-	rec.Quality = out.Quality.String()
-	rec.LatencyNs = int64(out.Elapsed)
-	rec.Infeasible = out.Infeasible
-	rec.Lb, rec.Ub = out.Interval()
-	rec.Proven = out.Quality == super.Exact || out.Quality == super.ProvenInterval
-
-	// Component fingerprints: feed the per-run census (and the
-	// caller's, when attached) so tightness can be attributed to
-	// component shapes across the workload.
-	rep := explain.Build(rec.Name, xrec)
-	rep.Scheme = cfg.Scheme
-	rep.K = cfg.K
-	rep.Quality = rec.Quality
-	fps := map[string]bool{}
-	for ri := range rep.Runs {
-		rec.Components += len(rep.Runs[ri].Components)
-		for ci := range rep.Runs[ri].Components {
-			fps[rep.Runs[ri].Components[ci].Fingerprint] = true
-		}
-	}
-	rec.DistinctFingerprints = len(fps)
+	rec.Answer = a
 	census.Observe(rep)
 	if cfg.Census != nil {
 		cfg.Census.Observe(rep)
 	}
 	return nil
+}
+
+// Solve is the one producer of a measured answer, shared by licmload's
+// local path and licmd's workers. It forks the store (newEnc), builds
+// sp on the fork and runs the supervised solve under ctx, with the
+// spec's sampled fallback (Fallback) at the bottom of the ladder. tr
+// traces the build and the solve; retrySeed perturbs the supervisor's
+// retry after a recovered panic (0 keeps its default). LatencyNs runs
+// from the fork to the supervised answer. The report is the solve's
+// licm-explain/1 record, tagged with the store's scheme and k and the
+// answer's quality. The error is the spec's build error; a solve that
+// produced nothing usable is an answer of quality "failed", whose
+// reasons the Outcome's sides carry.
+func (cfg Config) Solve(ctx context.Context, newEnc func() *encode.Encoded, sp Spec, tr *obs.Tracer, retrySeed int64) (Answer, super.Outcome, *explain.Report, error) {
+	start := time.Now()
+	enc := newEnc()
+	enc.DB.SetTracer(tr)
+	obj, _, err := sp.Build(enc)
+	if err != nil {
+		return Answer{}, super.Outcome{}, nil, err
+	}
+	a := Answer{Vars: enc.DB.NumVars(), Cons: enc.DB.NumConstraints()}
+
+	opts := cfg.Solver
+	opts.Trace = tr
+	if opts.Metrics == nil {
+		opts.Metrics = cfg.Metrics
+	}
+	xrec := &solver.ExplainRecorder{}
+	opts.Explain = xrec
+	out := super.Bounds(ctx, core.BuildProblem(enc.DB, obj), super.Config{
+		Solver:    opts,
+		Sample:    cfg.Fallback(enc, obj, sp, cfg.MCSamples),
+		RetrySeed: retrySeed,
+		Log:       cfg.Log,
+	})
+	a.LatencyNs = int64(time.Since(start))
+	a.Quality = out.Quality.String()
+	a.Proven = provenQuality(a.Quality)
+	a.Infeasible = out.Infeasible
+	a.Lb, a.Ub = out.Interval()
+
+	rep := explain.Build(sp.Name(), xrec)
+	rep.Scheme = cfg.Scheme
+	rep.K = cfg.K
+	rep.Quality = a.Quality
+	fps := map[string]bool{}
+	for ri := range rep.Runs {
+		a.Components += len(rep.Runs[ri].Components)
+		for ci := range rep.Runs[ri].Components {
+			fps[rep.Runs[ri].Components[ci].Fingerprint] = true
+		}
+	}
+	a.DistinctFingerprints = len(fps)
+	return a, out, rep, nil
+}
+
+// Fallback is sp's sampled-rung estimate on enc: the range of obj over
+// n Monte-Carlo worlds, seeded per spec from the master seed's fallback
+// stream, so a degraded or shed spec samples the same worlds locally
+// and on any licmd serving the same store.
+func (cfg Config) Fallback(enc *encode.Encoded, obj expr.Lin, sp Spec, n int) func() (lo, hi int64, ok bool) {
+	return super.MCFallback(enc, obj, seedflag.Derive(cfg.Seed, seedflag.FallbackStream)+int64(sp.ID), n)
 }
 
 // groundTruth establishes the reference answer range on a second fork

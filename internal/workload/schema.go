@@ -15,26 +15,33 @@ import (
 // records in run order followed by exactly one "summary" record.
 const Schema = "licm-load/1"
 
-// Record is one answered workload query: what was asked, how fast it
-// was answered, how trustworthy the answer is (ladder quality), and
-// how tight the proven bounds are against ground truth.
-type Record struct {
-	Schema string `json:"schema"`
-	Type   string `json:"type"` // always "query"
-	Name   string `json:"name"`
-	Spec   Spec   `json:"spec"`
-
+// Answer is one measured answer of a workload spec: the supervisor's
+// ladder tag, the bounds it reports and the shape of the solve behind
+// them. Solve produces it for licmload's local path and for licmd's
+// workers; a licm-load/1 Record and a licm-serve/1 Response embed it,
+// so both streams carry the same fields under the same names. Zero
+// values are omitted only where they mean "absent": no quality on a
+// licmd typed error, no request id on a local solve, not shed, not
+// infeasible.
+type Answer struct {
 	// Quality is the supervisor's ladder tag: exact, proven-interval,
-	// sampled or failed.
-	Quality   string `json:"quality"`
-	LatencyNs int64  `json:"latency_ns"`
-	// RequestID is the server-assigned request id of a remote (-target)
-	// answer; empty for local solves and absent from older streams. It
-	// correlates this record with the server's forensics: the request_id
-	// trace attribute and the /debug/licm/requests flight-recorder entry.
+	// sampled or failed. A failed ladder never crosses the wire: licmd
+	// answers it with a typed error and no quality.
+	Quality string `json:"quality,omitempty"`
+	// LatencyNs is the answer's wall time from the store fork to the
+	// supervised answer: fork, query build and supervised solve, or on
+	// licmd's shed path fork, build and the Monte-Carlo estimate. A
+	// remote (-target) record carries the server's figure, so admission
+	// wait and transport are not part of it.
+	LatencyNs int64 `json:"latency_ns"`
+	// RequestID is the licmd request id of a served answer; empty for
+	// local solves. It correlates a record with the server's
+	// forensics: the request_id trace attribute and the
+	// /debug/licm/requests flight-recorder entry.
 	RequestID string `json:"request_id,omitempty"`
-	// Shed marks a remote answer produced on the server's overload shed
-	// path (skipped the solver queue; sampled-rung Monte-Carlo answer).
+	// Shed marks an answer produced on licmd's overload shed path: the
+	// query skipped the solver queue and was answered with a
+	// Monte-Carlo estimate at the sampled ladder rung.
 	Shed bool `json:"shed,omitempty"`
 
 	// Lb/Ub are the reported aggregate bounds; Proven says whether
@@ -43,6 +50,28 @@ type Record struct {
 	Ub         int64 `json:"ub"`
 	Proven     bool  `json:"proven"`
 	Infeasible bool  `json:"infeasible,omitempty"`
+
+	// Problem shape after query building, and the component count and
+	// distinct fingerprints of the solve's explain report (all zero on
+	// the shed path, which runs no solve).
+	Vars                 int `json:"vars"`
+	Cons                 int `json:"cons"`
+	Components           int `json:"components"`
+	DistinctFingerprints int `json:"distinct_fingerprints"`
+}
+
+// provenQuality reports whether a ladder tag claims proven bounds.
+func provenQuality(q string) bool { return q == "exact" || q == "proven-interval" }
+
+// Record is one answered workload query: what was asked, the measured
+// answer (how fast, how trustworthy, what bounds), and how tight the
+// proven bounds are against ground truth.
+type Record struct {
+	Schema string `json:"schema"`
+	Type   string `json:"type"` // always "query"
+	Name   string `json:"name"`
+	Spec   Spec   `json:"spec"`
+	Answer
 
 	// GtSource says where ground truth came from: "exact" (independent
 	// reference solve proved both optima) or "mc" (Monte-Carlo range —
@@ -63,13 +92,6 @@ type Record struct {
 	// proven bounds coincide with ground truth; for an exactly solved
 	// query with exact ground truth it must be exactly 1.0.
 	Qerr float64 `json:"qerr"`
-
-	// Problem shape after query building plus the explain census hook:
-	// component count and distinct fingerprints of this query's solve.
-	Vars                 int `json:"vars"`
-	Cons                 int `json:"cons"`
-	Components           int `json:"components"`
-	DistinctFingerprints int `json:"distinct_fingerprints"`
 
 	// Violations are hard consistency failures (ground truth or a
 	// sampled world outside proven bounds, exact-vs-exact mismatch).
@@ -155,8 +177,7 @@ func (r *Record) Validate() error {
 	if r.LatencyNs < 0 {
 		return fmt.Errorf("workload: record %s: negative latency", r.Name)
 	}
-	proven := r.Quality == "exact" || r.Quality == "proven-interval"
-	if proven != r.Proven {
+	if provenQuality(r.Quality) != r.Proven {
 		return fmt.Errorf("workload: record %s: proven=%v inconsistent with quality %q", r.Name, r.Proven, r.Quality)
 	}
 	if r.Proven && !r.Infeasible && r.Lb > r.Ub {

@@ -2,7 +2,10 @@ package workload
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"sync"
@@ -514,12 +517,8 @@ func TestExecuteRemoteAnswer(t *testing.T) {
 	}
 	rcfg := cfg
 	rcfg.Answer = func(sp Spec) (*Answer, error) {
-		lr := byID[sp.ID]
-		return &Answer{
-			Quality: lr.Quality, Lb: lr.Lb, Ub: lr.Ub,
-			Infeasible: lr.Infeasible, LatencyNs: lr.LatencyNs,
-			Vars: lr.Vars, Cons: lr.Cons,
-		}, nil
+		a := byID[sp.ID].Answer
+		return &a, nil
 	}
 	remote, err := Execute(rcfg, specs)
 	if err != nil {
@@ -546,5 +545,46 @@ func TestExecuteRemoteAnswer(t *testing.T) {
 	}
 	if _, err := Execute(ecfg, specs); err == nil {
 		t.Fatal("remote answer error did not fail the run")
+	}
+}
+
+// TestCommittedBaselineRoundTrips reads the committed
+// BENCH_workload.json, the baseline of CI's workload and serving diffs,
+// with the strict licm-load/1 reader and writes it back: every line
+// must come back with the same fields and values (key order aside). A
+// renamed, dropped or added record or summary field then fails here,
+// not only in CI's diff.
+func TestCommittedBaselineRoundTrips(t *testing.T) {
+	raw, err := os.ReadFile(filepath.Join("..", "..", "BENCH_workload.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	run, err := ReadRun(bytes.NewReader(raw), true)
+	if err != nil {
+		t.Fatalf("strict read of the committed baseline: %v", err)
+	}
+	if len(run.Records) == 0 {
+		t.Fatal("committed baseline holds no records")
+	}
+	var buf bytes.Buffer
+	if err := WriteRun(&buf, run); err != nil {
+		t.Fatal(err)
+	}
+	want := strings.Split(strings.TrimSpace(string(raw)), "\n")
+	got := strings.Split(strings.TrimSpace(buf.String()), "\n")
+	if len(got) != len(want) {
+		t.Fatalf("round trip wrote %d lines, baseline has %d", len(got), len(want))
+	}
+	for i := range want {
+		var w, g map[string]any
+		if err := json.Unmarshal([]byte(want[i]), &w); err != nil {
+			t.Fatal(err)
+		}
+		if err := json.Unmarshal([]byte(got[i]), &g); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(g, w) {
+			t.Errorf("line %d round-trips as\n%s\nwant\n%s", i+1, got[i], want[i])
+		}
 	}
 }
