@@ -8,7 +8,7 @@
 //
 //	licmexp -fig all -trans 2000
 //	licmexp -fig 5 -trans 5000 -ks 2,4,6,8
-//	licmexp -fig 5 -deadline 10s       # cap each cell's solve; late cells degrade, the sweep survives
+//	licmexp -fig 5 -deadline 10s       # cap each cell's supervised solve; late cells degrade, the sweep survives
 //
 // Observability:
 //
@@ -42,7 +42,7 @@ func main() {
 		ks           = flag.String("ks", "2,4,6,8", "anonymity parameters (comma separated)")
 		mcN          = flag.Int("mc", 20, "Monte-Carlo sample count")
 		nodes        = flag.Int64("maxnodes", 300_000, "solver node budget per solve")
-		cellDeadline = flag.Duration("deadline", 0, "wall-clock cap per cell solve; a cell that runs out degrades to quality=interval or quality=failed instead of aborting the sweep (0 = no cap)")
+		cellDeadline = flag.Duration("deadline", 0, "wall-clock cap per cell solve; a cell that runs out degrades to quality=proven-interval or quality=failed instead of aborting the sweep (0 = no cap)")
 		vet          = flag.Bool("check", false, "run the static diagnostics pass on every BIP before solving; an encoder bug that emits a provably infeasible store fails fast with diagnostics instead of burning the node budget")
 
 		tracePath = flag.String("trace", "", "write a JSON-lines trace of every experiment cell to this file")

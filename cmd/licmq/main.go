@@ -14,7 +14,6 @@
 //	licmq -in data.txt -query q1 -trace trace.jsonl   # JSON-lines trace
 //	licmq -in data.txt -query q1 -verbose             # human-readable trace on stderr
 //	licmq -in data.txt -query q3 -debug-addr :6060    # pprof, expvar, Prometheus /metrics, /debug/licm dashboard
-//	licmq -in data.txt -query q3 -timelimit 30s       # best-effort bounds on timeout
 //	licmq -in data.txt -query q1 -log-level info -log-format json   # structured logs on stderr
 //
 // Explain (per-query solve forensics, OBSERVABILITY.md "Explain & census"):
@@ -22,20 +21,20 @@
 //	licmq -in data.txt -query q1 -explain                  # human-readable per-component breakdown
 //	licmq -in data.txt -query q1 -explain-json report.jsonl  # licm-explain/1 record ("-" = stdout)
 //
-// Supervised (anytime) solves:
+// Deadlines and strictness:
 //
-//	licmq -in data.txt -query q1 -deadline 5s          # degradation ladder under a hard deadline
+//	licmq -in data.txt -query q3 -deadline 5s          # degradation ladder under a hard deadline
 //	licmq -in data.txt -query q1 -deadline 5s -strict  # exit 3 unless the result is exact
 //
-// With -deadline (or -strict) the solve runs under the anytime
-// supervisor (internal/super): the result always arrives before the
-// deadline with an explicit quality tag — exact, proven-interval,
-// sampled, or failed — instead of a hang or a bare error.
+// Every solve runs under the anytime supervisor (internal/super): the
+// result arrives with an explicit quality tag — exact,
+// proven-interval, sampled, or failed — instead of a hang or a bare
+// error, and with -deadline it arrives before the deadline.
 //
 // Exit status (internal/cliexit): 0 on success, 1 on any error
 // (including a store that
 // fails -check), 2 on unusable input or flags, and 3 when -strict is
-// set and the supervised result degraded below exact.
+// set and the result degraded below exact.
 package main
 
 import (
@@ -44,7 +43,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"log/slog"
 	"os"
 	"text/tabwriter"
 	"time"
@@ -53,7 +51,6 @@ import (
 	"licm/internal/cliexit"
 	"licm/internal/core"
 	"licm/internal/dataset"
-	"licm/internal/encode"
 	"licm/internal/explain"
 	"licm/internal/mc"
 	"licm/internal/obs"
@@ -89,11 +86,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		tracePath = fs.String("trace", "", "write a JSON-lines trace of operators, solver phases and MC sampling to this file")
 		verbose   = fs.Bool("verbose", false, "print a human-readable trace to stderr")
 		debugAddr = fs.String("debug-addr", "", "serve net/http/pprof and expvar (live solver counters) on this address, e.g. :6060")
-		timeLimit = fs.Duration("timelimit", 0, "cancel the solve after this long and report best-effort bounds (0 = no limit)")
 
-		deadline = fs.Duration("deadline", 0, "run under the anytime supervisor with this hard deadline; results degrade gracefully with a quality tag (0 = unsupervised)")
-		strict   = fs.Bool("strict", false, "supervised solve must be exact: exit 3 on any degraded (proven-interval, sampled, failed) result")
-		fallback = fs.Int("fallback-samples", 200, "Monte-Carlo worlds for the supervised solve's sampled fallback (0 disables it)")
+		deadline = fs.Duration("deadline", 0, "hard deadline for the solve; a cut-short result degrades with a quality tag instead of failing (0 = none)")
+		strict   = fs.Bool("strict", false, "the result must be exact: exit 3 on any degraded (proven-interval, sampled, failed) result")
+		fallback = fs.Int("fallback-samples", 200, "Monte-Carlo worlds for the sampled fallback when no proven bound exists (0 disables it)")
 
 		explainFlag = fs.Bool("explain", false, "print a per-component solve breakdown (pruning effect, fingerprints, time shares)")
 		seed        = seedflag.Register(fs)
@@ -157,7 +153,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	tModel := time.Since(start)
 	// One tracer covers the whole pipeline: query operators pick it up
-	// from the DB, the solver inherits it via core.Bounds.
+	// from the DB, the supervisor and solver from opts.Trace.
 	enc.DB.SetTracer(tr)
 
 	var q queries.Query
@@ -180,15 +176,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	tQuery := time.Since(start)
 
+	obj := core.CountStar(rel)
+	p := core.BuildProblem(enc.DB, obj)
 	if *lpOut != "" {
 		f, err := os.Create(*lpOut)
 		if err != nil {
 			return fail(err)
-		}
-		p := &solver.Problem{
-			NumVars:     enc.DB.NumVars(),
-			Constraints: enc.DB.Constraints(),
-			Objective:   core.CountStar(rel),
 		}
 		if err := solver.WriteLP(f, p, solver.SenseMax); err != nil {
 			f.Close()
@@ -207,14 +200,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	opts.CompleteWitness = false
 	opts.Metrics = metrics
 	opts.Check = *vet
-	// -timelimit and -deadline share one context, so the earlier of
-	// the two ends the solve.
-	ctx := context.Background()
-	if *timeLimit > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, *timeLimit)
-		defer cancel()
-	}
+	opts.Trace = tr
 	// Explain reports and certificates both read the solve's record.
 	wantExplain := *explainFlag || *explainJSON != ""
 	var rec *solver.ExplainRecorder
@@ -222,66 +208,39 @@ func run(args []string, stdout, stderr io.Writer) int {
 		rec = &solver.ExplainRecorder{}
 		opts.Explain = rec
 	}
-
-	exitCode := 0
-	if *deadline > 0 || *strict {
-		exitCode = runSupervised(ctx, stdout, enc, rel, q, opts, tr, logger,
-			*scheme, *k, *deadline, *strict, *fallback,
-			seedflag.Derive(*seed, seedflag.FallbackStream))
-	} else {
-		start = time.Now()
-		res, err := core.BoundsContext(ctx, enc.DB, core.CountStar(rel), opts)
-		if err != nil {
-			var ce *solver.CheckError
-			if errors.As(err, &ce) {
-				fmt.Fprintln(stderr, "licmq: the encoded store failed static checks:")
-				for _, d := range ce.Report.Diags {
-					fmt.Fprintln(stderr, "  "+d.String())
-				}
-				return cliexit.Findings
+	ctx := context.Background()
+	if *deadline > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, *deadline)
+		defer cancel()
+	}
+	out := super.Bounds(ctx, p, super.Config{
+		Solver: opts,
+		Sample: super.MCFallback(enc, obj, seedflag.Derive(*seed, seedflag.FallbackStream), *fallback),
+		Log:    logger,
+	})
+	for _, err := range []error{out.Max.Err, out.Min.Err} {
+		var ce *solver.CheckError
+		if errors.As(err, &ce) {
+			fmt.Fprintln(stderr, "licmq: the encoded store failed static checks:")
+			for _, d := range ce.Report.Diags {
+				fmt.Fprintln(stderr, "  "+d.String())
 			}
-			return fail(err)
+			return cliexit.Findings
 		}
-		tSolve := time.Since(start)
-
-		fmt.Fprintf(stdout, "%s over %s(k=%d): ", q.Name(), *scheme, *k)
-		if res.MinProven && res.MaxProven {
-			fmt.Fprintf(stdout, "exact bounds [%d, %d]\n", res.Min, res.Max)
-		} else {
-			fmt.Fprintf(stdout, "best found [%d, %d], proven outer bounds [%d, %d]\n",
-				res.Min, res.Max, res.MinBound, res.MaxBound)
-		}
-		if res.Stats.Canceled {
-			fmt.Fprintf(stdout, "solve canceled after %v (time limit %v); bounds are best-effort\n",
-				res.Stats.TotalTime.Round(time.Millisecond), *timeLimit)
-		}
-		fmt.Fprintf(stdout, "timing: L-model %v, L-query %v, L-solve %v\n", tModel, tQuery, tSolve)
-		fmt.Fprintf(stdout, "solve phases: prune %v, presolve %v, search %v\n",
-			res.Stats.PruneTime, res.Stats.PresolveTime, res.Stats.SearchTime)
-		fmt.Fprintf(stdout, "problem: %d vars, %d constraints; after pruning %d vars, %d constraints; %d components, %d nodes, %d LP solves, %d propagations\n",
-			res.Stats.VarsBefore, res.Stats.ConsBefore,
-			res.Stats.VarsAfterPrune, res.Stats.ConsAfterPrune,
-			res.Stats.Components, res.Stats.Nodes, res.Stats.LPSolves, res.Stats.Propagations)
-		if res.Stats.AllocBytes > 0 || res.Stats.PeakHeap > 0 {
-			fmt.Fprintf(stdout, "memory: %.1f MiB allocated during solve, peak heap %.1f MiB\n",
-				float64(res.Stats.AllocBytes)/(1<<20), float64(res.Stats.PeakHeap)/(1<<20))
-		}
-		for _, h := range []struct{ name, label string }{
-			{"solver.lp_ns", "LP relaxation latency"},
-			{"solver.node_ns", "per-node latency"},
-		} {
-			if snap := metrics.Histogram(h.name).Snapshot(); snap.Count > 0 {
-				fmt.Fprintf(stdout, "%s: n=%d mean=%v p50<%v p99<%v\n", h.label, snap.Count,
-					time.Duration(int64(snap.Mean)).Round(time.Microsecond),
-					time.Duration(snap.Quantile(0.5)), time.Duration(snap.Quantile(0.99)))
-			}
-		}
+	}
+	printOutcome(stdout, fmt.Sprintf("%s over %s(k=%d)", q.Name(), *scheme, *k), out, tModel, tQuery, metrics)
+	exitCode := cliexit.OK
+	if *strict && out.Quality != super.Exact {
+		fmt.Fprintf(stdout, "strict mode: result degraded below exact\n")
+		exitCode = cliexit.Degraded
 	}
 
 	if wantExplain {
 		rep := explain.Build(q.Name(), rec)
 		rep.Scheme = *scheme
 		rep.K = *k
+		rep.Quality = out.Quality.String()
 		// Feed the single-query census so the explain instruments
 		// (licm_explain_components_total, licm_explain_distinct_fingerprints)
 		// are live on /metrics and the dashboard alongside the solver's.
@@ -328,7 +287,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			}
 		}
 	}
-	if exitCode != 0 {
+	if exitCode != cliexit.OK {
 		return exitCode
 	}
 
@@ -382,62 +341,63 @@ func printExplain(w io.Writer, rep *explain.Report) {
 	}
 }
 
-// runSupervised answers the query through the anytime supervisor and
-// prints the quality-tagged result. Returns the process exit code: 0,
-// or 3 when strict is set and the result degraded below exact.
-func runSupervised(ctx context.Context, stdout io.Writer, enc *encode.Encoded, rel *core.Relation, q queries.Query,
-	opts solver.Options, tr *obs.Tracer, logger *slog.Logger, scheme string, k int,
-	deadline time.Duration, strict bool, fallbackSamples int, fallbackSeed int64) int {
-	if deadline > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, deadline)
-		defer cancel()
-	}
-	obj := core.CountStar(rel)
-	opts.Trace = tr
-	cfg := super.Config{
-		Solver: opts,
-		Sample: super.MCFallback(enc, obj, fallbackSeed, fallbackSamples),
-		Log:    logger,
-	}
-	out := super.Bounds(ctx, core.BuildProblem(enc.DB, obj), cfg)
-
-	fmt.Fprintf(stdout, "%s over %s(k=%d): quality=%s", q.Name(), scheme, k, out.Quality)
+// printOutcome reports a supervised solve: the quality-tagged answer,
+// the pipeline timing, each side's own phases and search work, memory,
+// the solver's latency histograms and the supervisor's bookkeeping.
+// Every per-side line names the min side first, as the answer does.
+func printOutcome(w io.Writer, head string, out super.Outcome, tModel, tQuery time.Duration, metrics *obs.Registry) {
+	fmt.Fprintf(w, "%s: quality=%s", head, out.Quality)
 	switch {
 	case out.Infeasible:
-		fmt.Fprintf(stdout, " infeasible (no possible world satisfies the constraints)\n")
+		fmt.Fprintf(w, " infeasible (no possible world satisfies the constraints)\n")
 	case out.Quality == super.Exact:
-		fmt.Fprintf(stdout, " bounds [%d, %d]\n", out.Min.Lo, out.Max.Hi)
+		fmt.Fprintf(w, " bounds [%d, %d]\n", out.Min.Lo, out.Max.Hi)
 	case out.Quality == super.ProvenInterval:
 		lo, hi := out.Interval()
-		fmt.Fprintf(stdout, " proven outer interval [%d, %d] (min in [%d, %d], max in [%d, %d])\n",
+		fmt.Fprintf(w, " proven outer interval [%d, %d] (min in [%d, %d], max in [%d, %d])\n",
 			lo, hi, out.Min.Lo, out.Min.Hi, out.Max.Lo, out.Max.Hi)
 	case out.Quality == super.Sampled:
-		fmt.Fprintf(stdout, " sampled range [%d, %d] — NOT proven bounds\n", out.Min.Lo, out.Max.Hi)
+		fmt.Fprintf(w, " sampled range [%d, %d] — NOT proven bounds\n", out.Min.Lo, out.Max.Hi)
 	default:
-		fmt.Fprintf(stdout, " no usable result\n")
+		fmt.Fprintf(w, " no usable result\n")
 	}
-	for _, sd := range []struct {
+	sides := []struct {
 		name string
 		s    super.Side
-	}{{"min", out.Min}, {"max", out.Max}} {
+	}{{"min", out.Min}, {"max", out.Max}}
+	for _, sd := range sides {
 		if sd.s.Err != nil {
-			fmt.Fprintf(stdout, "  %s side degraded to %s: %v\n", sd.name, sd.s.Quality, sd.s.Err)
+			fmt.Fprintf(w, "  %s side degraded to %s: %v\n", sd.name, sd.s.Quality, sd.s.Err)
 		}
 	}
-	fmt.Fprintf(stdout, "supervisor: elapsed %v, retries %d, panics recovered %d\n",
+	fmt.Fprintf(w, "timing: L-model %v, L-query %v, L-solve %v\n", tModel, tQuery, out.Elapsed)
+	mn, mx := out.Min.Stats, out.Max.Stats
+	fmt.Fprintf(w, "solve phases: min prune %v, presolve %v, search %v; max prune %v, presolve %v, search %v\n",
+		mn.PruneTime, mn.PresolveTime, mn.SearchTime, mx.PruneTime, mx.PresolveTime, mx.SearchTime)
+	for _, sd := range sides {
+		st := sd.s.Stats
+		if st == (solver.Stats{}) {
+			fmt.Fprintf(w, "%s side: no completed solve\n", sd.name)
+			continue
+		}
+		fmt.Fprintf(w, "%s side: %d vars, %d constraints; after pruning %d vars, %d constraints; %d components, %d nodes, %d LP solves, %d propagations\n",
+			sd.name, st.VarsBefore, st.ConsBefore, st.VarsAfterPrune, st.ConsAfterPrune,
+			st.Components, st.Nodes, st.LPSolves, st.Propagations)
+	}
+	if alloc := mn.AllocBytes + mx.AllocBytes; alloc > 0 {
+		fmt.Fprintf(w, "memory: %.1f MiB allocated during solve, peak heap %.1f MiB\n",
+			float64(alloc)/(1<<20), float64(max(mn.PeakHeap, mx.PeakHeap))/(1<<20))
+	}
+	for _, h := range []struct{ name, label string }{
+		{"solver.lp_ns", "LP relaxation latency"},
+		{"solver.node_ns", "per-node latency"},
+	} {
+		if snap := metrics.Histogram(h.name).Snapshot(); snap.Count > 0 {
+			fmt.Fprintf(w, "%s: n=%d mean=%v p50<%v p99<%v\n", h.label, snap.Count,
+				time.Duration(int64(snap.Mean)).Round(time.Microsecond),
+				time.Duration(snap.Quantile(0.5)), time.Duration(snap.Quantile(0.99)))
+		}
+	}
+	fmt.Fprintf(w, "supervisor: elapsed %v, retries %d, panics recovered %d\n",
 		out.Elapsed.Round(time.Millisecond), out.Retries, out.PanicsRecovered)
-	if alloc := out.Min.Stats.AllocBytes + out.Max.Stats.AllocBytes; alloc > 0 {
-		peak := out.Min.Stats.PeakHeap
-		if out.Max.Stats.PeakHeap > peak {
-			peak = out.Max.Stats.PeakHeap
-		}
-		fmt.Fprintf(stdout, "memory: %.1f MiB allocated during solve, peak heap %.1f MiB\n",
-			float64(alloc)/(1<<20), float64(peak)/(1<<20))
-	}
-	if strict && out.Quality != super.Exact {
-		fmt.Fprintf(stdout, "strict mode: result degraded below exact\n")
-		return cliexit.Degraded
-	}
-	return cliexit.OK
 }

@@ -2,7 +2,9 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -11,6 +13,7 @@ import (
 	"licm/internal/cert"
 	"licm/internal/dataset"
 	"licm/internal/explain"
+	"licm/internal/solver"
 )
 
 var update = flag.Bool("update", false, "rewrite golden files")
@@ -144,50 +147,115 @@ func TestStrictWithoutDeadline(t *testing.T) {
 	}
 }
 
-// TestUnsupervisedStillWorks guards the legacy path.
-func TestUnsupervisedStillWorks(t *testing.T) {
+// TestDefaultRun: without -deadline or -strict the solve still runs
+// under the supervisor and prints its exact answer with exit 0.
+func TestDefaultRun(t *testing.T) {
 	in := genInput(t)
 	code, out, errBuf := runQ(t, "-in", in, "-scheme", "k", "-k", "2", "-query", "q1")
 	if code != 0 {
 		t.Fatalf("exit = %d, want 0; stderr:\n%s", code, errBuf)
 	}
-	if !strings.Contains(out, "exact bounds [") {
+	if !strings.Contains(out, "quality=exact bounds [") {
 		t.Fatalf("unexpected output:\n%s", out)
 	}
 }
 
-// TestTimeLimitBestEffort: -timelimit cancels the unsupervised solve,
-// which still exits 0 with best-effort bounds and says so.
-func TestTimeLimitBestEffort(t *testing.T) {
-	in := genInput(t)
-	code, out, errBuf := runQ(t, "-in", in, "-scheme", "k", "-k", "2", "-query", "q1", "-timelimit", "1ns")
-	if code != 0 {
-		t.Fatalf("exit = %d, want 0; stderr:\n%s\nstdout:\n%s", code, errBuf, out)
+// sideCounts reads the "<sense> side:" report line's node and LP-solve
+// counts.
+func sideCounts(t *testing.T, out, sense string) (nodes, lps int64) {
+	t.Helper()
+	for _, line := range strings.Split(out, "\n") {
+		rest, ok := strings.CutPrefix(line, sense+" side: ")
+		if !ok {
+			continue
+		}
+		_, work, ok := strings.Cut(rest, " components, ")
+		if !ok {
+			t.Fatalf("%s side line carries no search counts: %q", sense, line)
+		}
+		if _, err := fmt.Sscanf(work, "%d nodes, %d LP solves", &nodes, &lps); err != nil {
+			t.Fatalf("%s side line %q: %v", sense, line, err)
+		}
+		return nodes, lps
 	}
-	if !strings.Contains(out, "solve canceled after ") || !strings.Contains(out, "(time limit 1ns); bounds are best-effort") {
-		t.Fatalf("no cancellation notice in:\n%s", out)
+	t.Fatalf("no %q side line in:\n%s", sense, out)
+	return 0, 0
+}
+
+// TestPerSideCounts: the report prints each side's own search work.
+// On this spec the max side is exact and the min side stops at the
+// node budget, so the two sides search differently; each printed
+// count must equal its own run in the same invocation's explain record.
+func TestPerSideCounts(t *testing.T) {
+	in := genInput(t)
+	path := filepath.Join(t.TempDir(), "explain.jsonl")
+	code, out, errBuf := runQ(t, "-in", in, "-scheme", "bipartite", "-k", "3", "-query", "q1",
+		"-maxnodes", "20000", "-explain-json", path)
+	if code != 0 {
+		t.Fatalf("exit = %d, want 0; stderr:\n%s", code, errBuf)
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	reps, err := explain.ReadJSONL(f, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(reps) != 1 || len(reps[0].Runs) != 2 {
+		t.Fatalf("want one report with two runs, got %+v", reps)
+	}
+	for _, run := range reps[0].Runs {
+		nodes, lps := sideCounts(t, out, run.Sense)
+		if nodes != run.Nodes || lps != run.LPSolves {
+			t.Errorf("%s side prints %d nodes, %d LP solves; its run recorded %d, %d",
+				run.Sense, nodes, lps, run.Nodes, run.LPSolves)
+		}
+	}
+	minNodes, _ := sideCounts(t, out, "min")
+	maxNodes, _ := sideCounts(t, out, "max")
+	if minNodes == maxNodes {
+		t.Errorf("both sides searched %d nodes; the spec no longer tells them apart", minNodes)
 	}
 }
 
-// TestTimeLimitAndDeadlineEarlierWins: -timelimit and -deadline share
-// one context, so whichever is earlier ends the supervised solve.
-func TestTimeLimitAndDeadlineEarlierWins(t *testing.T) {
+// TestLPExport: -lp writes the problem licmq solves; it reads back
+// with solver.ReadLP as a maximization whose optimum is the max
+// licmq prints.
+func TestLPExport(t *testing.T) {
 	in := genInput(t)
-	base := []string{"-in", in, "-scheme", "k", "-k", "2", "-query", "q1"}
-	for _, tc := range []struct {
-		limit, deadline, quality string
-	}{
-		{"1ns", "2m", "quality=sampled"},
-		{"2m", "1ns", "quality=sampled"},
-		{"2m", "2m", "quality=exact"},
-	} {
-		code, out, errBuf := runQ(t, append(base, "-timelimit", tc.limit, "-deadline", tc.deadline)...)
-		if code != 0 {
-			t.Fatalf("-timelimit %s -deadline %s: exit = %d, want 0; stderr:\n%s", tc.limit, tc.deadline, code, errBuf)
-		}
-		if !strings.Contains(out, tc.quality) {
-			t.Errorf("-timelimit %s -deadline %s: want %s in:\n%s", tc.limit, tc.deadline, tc.quality, out)
-		}
+	path := filepath.Join(t.TempDir(), "q1.lp")
+	code, out, errBuf := runQ(t, "-in", in, "-scheme", "k", "-k", "2", "-query", "q1", "-lp", path)
+	if code != 0 {
+		t.Fatalf("exit = %d, want 0; stderr:\n%s", code, errBuf)
+	}
+	var lo, hi int64
+	_, answer, _ := strings.Cut(out, "quality=exact bounds ")
+	if _, err := fmt.Sscanf(answer, "[%d, %d]", &lo, &hi); err != nil {
+		t.Fatalf("no exact answer in:\n%s", out)
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	p, sense, err := solver.ReadLP(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sense != solver.SenseMax {
+		t.Fatalf("exported sense = %v, want max", sense)
+	}
+	res, err := solver.Maximize(context.Background(), p, solver.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Proven || res.Value != hi {
+		t.Errorf("exported problem maximizes to %d (proven %v); licmq printed max %d", res.Value, res.Proven, hi)
+	}
+	if want := fmt.Sprintf("(%d vars, %d constraints)", p.NumVars, len(p.Constraints)); !strings.Contains(out, want) {
+		t.Errorf("export line does not name the file's size %s:\n%s", want, out)
 	}
 }
 

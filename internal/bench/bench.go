@@ -33,6 +33,7 @@ import (
 	"licm/internal/queries"
 	"licm/internal/seedflag"
 	"licm/internal/solver"
+	"licm/internal/super"
 )
 
 // Scheme names an anonymization method.
@@ -73,24 +74,27 @@ type Config struct {
 	// Solver options; MaxNodes bounds the hard bipartite instances.
 	Solver solver.Options
 	// SolveDeadline, when positive, caps the wall-clock time of each
-	// cell's solve (on top of MaxNodes). A cell that runs out of time
-	// degrades instead of aborting the sweep: its Quality drops to
-	// "interval" (proven outer bounds only) or "failed" (cancellation
-	// before any feasible point), and the sweep moves on.
+	// cell's solve (on top of MaxNodes). Cells answer through the
+	// supervisor's degradation ladder (super.Bounds), so a cell that
+	// runs out of time degrades instead of aborting the sweep: its
+	// Quality drops to "proven-interval" (proven outer bounds only) or
+	// "failed" (no proven bound on some side), and the sweep moves on.
 	SolveDeadline time.Duration
 	// Trace, if non-nil, receives a bench.cell span per RunCell with
 	// the full operator/solver/MC trace nested in time between its
 	// start and end events. It is attached to each cell's DB and
-	// sampler and passed into the solver.
+	// sampler and passed into the supervisor and solver.
 	Trace *obs.Tracer
 	// Metrics, if non-nil, receives the live solver counters and
 	// latency histograms of every cell (it is merged into the solver
 	// options and the MC sampler), so a sweep served by -debug-addr is
 	// scrapeable at /metrics while it runs.
 	Metrics *obs.Registry
-	// Log, if non-nil, receives a warn-level record for every cell
-	// whose quality lands below "exact", making degradation visible to
-	// log pipelines during long sweeps.
+	// Log, if non-nil, is the supervisor's logger for every cell
+	// (super.Config.Log) with the cell's scheme, query and k attached:
+	// a cell whose quality lands below "exact" logs one warn-level
+	// record, making degradation visible to log pipelines during long
+	// sweeps.
 	Log *slog.Logger
 	// Explain attaches the full licm-explain/1 report to every cell
 	// (Cell.Explain): per-run component matrices, fingerprints and
@@ -239,11 +243,13 @@ type Cell struct {
 	LMinProven, LMaxProven bool
 	MMin, MMax             int64
 
-	// Quality tags how much the cell's LICM series can be trusted:
-	// "exact" (both sides proven), "interval" (budget or deadline ran
-	// out; LMin/LMax are proven outer bounds), or "failed" (the solve
-	// was canceled before any feasible point; the LICM series is
-	// meaningless and only the MC series is populated).
+	// Quality is the supervisor's tag (super.Quality) for the cell's
+	// LICM series: "exact" (both sides proven), "proven-interval"
+	// (budget or deadline ran out; LMin/LMax are proven outer bounds),
+	// or "failed" (some side has no proven bound, e.g. the deadline
+	// struck before any feasible point; the LICM series is meaningless
+	// and only the MC series is populated). Cells configure no sampled
+	// fallback, so "sampled" never occurs.
 	Quality string
 
 	// Figure 6 series.
@@ -256,15 +262,15 @@ type Cell struct {
 	VarsQuery, ConsQuery   int
 	VarsPruned, ConsPruned int
 
-	// Solve trace summary (from the maximization solve's Stats): the
-	// same figures a --trace run shows live, recorded per cell so the
-	// emitted JSON carries them.
+	// Solve trace summary (from the maximization solve's Stats; zero
+	// when that solve did not complete): the same figures a --trace run
+	// shows live, recorded per cell so the emitted JSON carries them.
 	Nodes        int64
 	LPSolves     int64
 	Propagations int64
 	// Components and MaxCompVars come from the explain recorder, which
 	// registers the decomposition before any search work — so they are
-	// populated even when the cell degrades to "interval" or "failed".
+	// populated on a degraded cell whose solves started.
 	Components   int
 	MaxCompVars  int
 	PruneTime    time.Duration
@@ -313,9 +319,10 @@ func (cfg Config) RunCell(scheme Scheme, q queries.Query, k int) (Cell, error) {
 	if opts.Metrics == nil {
 		opts.Metrics = cfg.Metrics
 	}
+	opts.Trace = cfg.Trace
 	// Always record: the component census (count, max size) must
-	// survive cells that degrade to "interval" or "failed", and the
-	// recorder's cost is negligible next to the solve.
+	// survive cells that degrade below exact, and the recorder's cost
+	// is negligible next to the solve.
 	rec := &solver.ExplainRecorder{}
 	opts.Explain = rec
 	ctx := context.Background()
@@ -324,37 +331,41 @@ func (cfg Config) RunCell(scheme Scheme, q queries.Query, k int) (Cell, error) {
 		ctx, cancel = context.WithTimeout(ctx, cfg.SolveDeadline)
 		defer cancel()
 	}
+	log := cfg.Log
+	if log != nil {
+		log = log.With("scheme", string(scheme), "query", q.Name(), "k", k)
+	}
 	start = time.Now()
-	res, err := core.BoundsContext(ctx, enc.DB, core.CountStar(rel), opts)
-	switch {
-	case errors.Is(err, solver.ErrCanceled):
-		// Deadline struck before any feasible point: record a failed
-		// cell (MC series only) instead of aborting the whole sweep.
-		cell.LSolve = time.Since(start)
-		cell.Quality = "failed"
-	case err != nil:
+	// No sampled fallback: the cell measures its MC series on its own
+	// below, and the LICM series holds proven bounds or nothing.
+	out := super.Bounds(ctx, core.BuildProblem(enc.DB, core.CountStar(rel)), super.Config{Solver: opts, Log: log})
+	cell.LSolve = time.Since(start)
+	if out.Infeasible {
+		// A store no world satisfies is an encoder bug, not a cell
+		// result: fail the sweep with the side's error (-check
+		// diagnostics included).
+		err := out.Max.Err
+		if !errors.Is(err, solver.ErrInfeasible) {
+			err = out.Min.Err
+		}
 		sp.End(obs.Bool("ok", false))
 		return cell, fmt.Errorf("bench: %s/%s k=%d: %w", scheme, q.Name(), k, err)
-	default:
-		cell.LSolve = time.Since(start)
-		cell.LMin, cell.LMax = res.MinBound, res.MaxBound
-		cell.LMinFound, cell.LMaxFound = res.Min, res.Max
-		cell.LMinProven, cell.LMaxProven = res.MinProven, res.MaxProven
-		cell.Quality = "interval"
-		if res.MinProven && res.MaxProven {
-			cell.Quality = "exact"
-		}
-		cell.VarsPruned = res.Stats.VarsAfterPrune
-		cell.ConsPruned = res.Stats.ConsAfterPrune
-		cell.Nodes = res.Stats.Nodes
-		cell.LPSolves = res.Stats.LPSolves
-		cell.Propagations = res.Stats.Propagations
-		cell.PruneTime = res.Stats.PruneTime
-		cell.PresolveTime = res.Stats.PresolveTime
-		cell.SearchTime = res.Stats.SearchTime
-		if cell.VarsQuery > 0 {
-			cell.PruneRatio = 1 - float64(cell.VarsPruned)/float64(cell.VarsQuery)
-		}
+	}
+	cell.Quality = out.Quality.String()
+	cell.LMin, cell.LMax = out.Interval()
+	cell.LMinFound, cell.LMaxFound = out.Min.Hi, out.Max.Lo
+	cell.LMinProven = out.Min.Quality == super.Exact
+	cell.LMaxProven = out.Max.Quality == super.Exact
+	// The work and prune figures are the max side's, zero when its
+	// solve did not complete: summed over both sides, a min side
+	// stalled at the node budget would hide max-side growth from
+	// bench-diff's nodes gate.
+	st := out.Max.Stats
+	cell.VarsPruned, cell.ConsPruned = st.VarsAfterPrune, st.ConsAfterPrune
+	cell.Nodes, cell.LPSolves, cell.Propagations = st.Nodes, st.LPSolves, st.Propagations
+	cell.PruneTime, cell.PresolveTime, cell.SearchTime = st.PruneTime, st.PresolveTime, st.SearchTime
+	if st.VarsBefore > 0 {
+		cell.PruneRatio = 1 - float64(st.VarsAfterPrune)/float64(st.VarsBefore)
 	}
 	cell.Components, cell.MaxCompVars = explain.ComponentSummary(rec)
 	if cfg.Explain {
@@ -383,14 +394,6 @@ func (cfg Config) RunCell(scheme Scheme, q queries.Query, k int) (Cell, error) {
 	cell.MCTime = time.Since(start)
 	cell.MMin, cell.MMax = r.Min, r.Max
 	cell.MCAcceptance = r.AcceptanceRate()
-	if cfg.Log != nil && cell.Quality != "exact" {
-		cfg.Log.Warn("experiment cell degraded",
-			"scheme", string(scheme),
-			"query", q.Name(),
-			"k", k,
-			"quality", cell.Quality,
-			"nodes", cell.Nodes)
-	}
 	sp.End(
 		obs.Bool("ok", true),
 		obs.Str("quality", cell.Quality),

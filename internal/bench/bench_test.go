@@ -107,15 +107,15 @@ func TestRunCellQualityTags(t *testing.T) {
 	}
 
 	// With a spent deadline the sweep must survive: the cell degrades
-	// to interval (best-effort bounds) or failed (no feasible point),
-	// and the MC series is still measured either way.
+	// to proven-interval (best-effort bounds) or failed (no feasible
+	// point), and the MC series is still measured either way.
 	cfg.SolveDeadline = time.Nanosecond
 	cell, err = cfg.RunCell(SchemeBipartite, cfg.Queries()[0], 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cell.Quality != "interval" && cell.Quality != "failed" {
-		t.Errorf("deadline cell quality = %q, want interval or failed", cell.Quality)
+	if cell.Quality != "proven-interval" && cell.Quality != "failed" {
+		t.Errorf("deadline cell quality = %q, want proven-interval or failed", cell.Quality)
 	}
 	if cell.Quality == "exact" {
 		t.Error("a 1ns deadline cannot produce an exact cell")

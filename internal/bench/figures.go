@@ -50,7 +50,7 @@ func PrintFig5(w io.Writer, cells []Cell) {
 			proven := "exact"
 			switch {
 			case c.Quality == "failed":
-				proven = "failed (canceled; LICM series unusable)"
+				proven = "failed (no proven bounds; LICM series unusable)"
 			case !c.LMinProven || !c.LMaxProven:
 				proven = fmt.Sprintf("approx (found [%d,%d])", c.LMinFound, c.LMaxFound)
 			}

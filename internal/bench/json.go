@@ -25,9 +25,8 @@ type cellJSON struct {
 	LMaxProven bool  `json:"l_max_proven"`
 	MMin       int64 `json:"m_min"`
 	MMax       int64 `json:"m_max"`
-	// Quality is "exact", "interval" (proven outer bounds only) or
-	// "failed" (canceled before any feasible point; LICM series
-	// unusable).
+	// Quality is "exact", "proven-interval" (proven outer bounds only)
+	// or "failed" (no proven bound on some side; LICM series unusable).
 	Quality string `json:"quality"`
 
 	LModelNs int64 `json:"l_model_ns"`
@@ -45,8 +44,8 @@ type cellJSON struct {
 	Nodes        int64 `json:"nodes"`
 	LPSolves     int64 `json:"lp_solves"`
 	Propagations int64 `json:"propagations"`
-	// Components and MaxCompVars are populated on every cell —
-	// including "interval" and "failed" ones — because the explain
+	// Components and MaxCompVars are populated on every cell whose
+	// solves started — degraded ones included — because the explain
 	// recorder registers the decomposition before any search work.
 	Components   int     `json:"components"`
 	MaxCompVars  int     `json:"max_comp_vars"`

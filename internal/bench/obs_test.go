@@ -3,6 +3,7 @@ package bench
 import (
 	"bytes"
 	"encoding/json"
+	"log/slog"
 	"testing"
 	"time"
 
@@ -31,13 +32,13 @@ func TestRunCellEmitsTrace(t *testing.T) {
 	if seen["bench.cell"] != 1 {
 		t.Errorf("bench.cell spans = %d, want 1", seen["bench.cell"])
 	}
-	// Two solves (max + min) wrapped in one aggregate.bounds, plus the
-	// MC baseline and at least one query operator.
+	// Two solves (max + min) wrapped in one super.solve, plus the MC
+	// baseline and at least one query operator.
 	if seen["solver.solve"] != 2 {
 		t.Errorf("solver.solve spans = %d, want 2", seen["solver.solve"])
 	}
-	if seen["aggregate.bounds"] != 1 {
-		t.Errorf("aggregate.bounds spans = %d, want 1", seen["aggregate.bounds"])
+	if seen["super.solve"] != 1 {
+		t.Errorf("super.solve spans = %d, want 1", seen["super.solve"])
 	}
 	if seen["mc.run"] != 1 {
 		t.Errorf("mc.run spans = %d, want 1", seen["mc.run"])
@@ -67,6 +68,50 @@ func TestRunCellEmitsTrace(t *testing.T) {
 	}
 	if cell.MCAcceptance <= 0 || cell.MCAcceptance > 1 {
 		t.Errorf("mc acceptance %v out of (0,1]", cell.MCAcceptance)
+	}
+}
+
+// TestDegradedCellLogsOnce: a cell that degrades below exact logs
+// one warn-level record — the supervisor's — and that record names
+// the cell's scheme, query and k.
+func TestDegradedCellLogsOnce(t *testing.T) {
+	cfg := tinyConfig()
+	cfg.SolveDeadline = time.Nanosecond
+	var buf bytes.Buffer
+	cfg.Log = slog.New(slog.NewJSONHandler(&buf, &slog.HandlerOptions{Level: slog.LevelDebug}))
+	cell, err := cfg.RunCell(SchemeK, cfg.Queries()[0], 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cell.Quality == "exact" {
+		t.Fatal("a 1ns deadline cannot produce an exact cell")
+	}
+	var warns []map[string]any
+	for _, line := range bytes.Split(buf.Bytes(), []byte("\n")) {
+		if len(line) == 0 {
+			continue
+		}
+		var rec map[string]any
+		if err := json.Unmarshal(line, &rec); err != nil {
+			t.Fatalf("log line %q: %v", line, err)
+		}
+		if rec["level"] == "WARN" {
+			warns = append(warns, rec)
+		}
+	}
+	if len(warns) != 1 {
+		t.Fatalf("got %d WARN records, want 1:\n%s", len(warns), buf.String())
+	}
+	w := warns[0]
+	if w["msg"] != "supervised solve degraded" {
+		t.Errorf("WARN record %q is not the supervisor's", w["msg"])
+	}
+	if w["scheme"] != string(SchemeK) || w["query"] != "Q1" || w["k"] != float64(2) {
+		t.Errorf("WARN record does not name the cell (scheme %v, query %v, k %v): %v",
+			w["scheme"], w["query"], w["k"], w)
+	}
+	if w["quality"] != cell.Quality {
+		t.Errorf("WARN record quality %v, cell quality %q", w["quality"], cell.Quality)
 	}
 }
 

@@ -77,19 +77,14 @@ type BoundsResult struct {
 // Bounds solves the binary integer program defined by the objective
 // and the DB's constraint store, returning exact upper and lower
 // bounds for the aggregate (Section IV-D). The solution vectors
-// identify the "boundary case" possible worlds.
+// identify the "boundary case" possible worlds. It solves with no
+// deadline and no degradation ladder, for reference answers and
+// ablations; tools that answer a query use super.Bounds.
 //
 // When the DB carries a tracer (SetTracer) and opts.Trace is unset,
 // the solves inherit the DB's tracer, so a single SetTracer call
 // covers the whole query/solve pipeline.
 func Bounds(db *DB, objective expr.Lin, opts solver.Options) (BoundsResult, error) {
-	return BoundsContext(context.TODO(), db, objective, opts)
-}
-
-// BoundsContext is Bounds under ctx: when ctx ends mid-search, both
-// solves stop early and report best-effort bounds (solver.Maximize
-// describes the cancellation contract).
-func BoundsContext(ctx context.Context, db *DB, objective expr.Lin, opts solver.Options) (BoundsResult, error) {
 	if opts.Trace == nil {
 		opts.Trace = db.Tracer()
 	}
@@ -98,7 +93,7 @@ func BoundsContext(ctx context.Context, db *DB, objective expr.Lin, opts solver.
 		obs.Int("cons", db.NumConstraints()),
 		obs.Int("obj_terms", len(objective.Terms())))
 	p := BuildProblem(db, objective)
-	min, max, err := solver.Bounds(ctx, p, opts)
+	min, max, err := solver.Bounds(context.TODO(), p, opts)
 	if err != nil {
 		sp.End(obs.Bool("ok", false))
 		return BoundsResult{}, err
@@ -201,7 +196,7 @@ func EstimateCardinality(db *DB, r *Relation) CardinalityEstimate {
 }
 
 // maxI64 avoids the builtin max, which the min/max result variables
-// shadow inside BoundsContext.
+// shadow inside Bounds.
 func maxI64(a, b int64) int64 {
 	if a > b {
 		return a

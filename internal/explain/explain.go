@@ -31,9 +31,9 @@ type Report struct {
 	// under, when the caller knows it (licmq, licmexp).
 	Scheme string `json:"scheme,omitempty"`
 	K      int    `json:"k,omitempty"`
-	// Quality is the overall verdict: the worst supervisor tag across
-	// runs when the solve was supervised, else "exact" when every run
-	// proved optimality and "interval" otherwise.
+	// Quality is the overall verdict, the supervisor's outcome tag
+	// (super.Quality). Build leaves it empty; the caller that holds the
+	// outcome sets it.
 	Quality string `json:"quality,omitempty"`
 	Prune   Prune  `json:"prune"`
 	Runs    []Run  `json:"runs"`
@@ -99,7 +99,9 @@ type Component struct {
 // Build assembles a Report from a recorder's runs. The recorder may
 // be nil or empty (returns an empty, still-valid report), and stays
 // untouched; it holds every run solved on it, so use one recorder per
-// query.
+// query. Each run carries the supervisor's tag for its sense
+// (ExplainRecorder.TagSense); the report's Quality is the caller's to
+// set.
 func Build(query string, rec *solver.ExplainRecorder) *Report {
 	rep := &Report{Schema: Schema, Query: query}
 	runs := rec.Runs()
@@ -114,10 +116,6 @@ func Build(query string, rec *solver.ExplainRecorder) *Report {
 		ConsAfter:       runs[0].ConsAfterPrune,
 		FixedByPresolve: runs[0].FixedByPresolve,
 	}
-	tagged := false
-	allProven := true
-	clean := true
-	worst := ""
 	for _, sr := range runs {
 		run := Run{
 			Sense:            sr.Sense,
@@ -156,47 +154,8 @@ func Build(query string, rec *solver.ExplainRecorder) *Report {
 			})
 		}
 		rep.Runs = append(rep.Runs, run)
-		if sr.Quality != "" {
-			tagged = true
-			if qualityRank(sr.Quality) > qualityRank(worst) {
-				worst = sr.Quality
-			}
-		}
-		if !sr.Proven {
-			allProven = false
-		}
-		if sr.Err != "" {
-			clean = false
-		}
-	}
-	switch {
-	case tagged:
-		rep.Quality = worst
-	case allProven && clean:
-		rep.Quality = "exact"
-	default:
-		rep.Quality = "interval"
 	}
 	return rep
-}
-
-// qualityRank orders supervisor tags from best to worst; unknown tags
-// rank worst so a new ladder rung can never masquerade as exact.
-func qualityRank(q string) int {
-	switch q {
-	case "":
-		return -1
-	case "exact":
-		return 0
-	case "proven-interval":
-		return 1
-	case "sampled":
-		return 2
-	case "failed":
-		return 3
-	default:
-		return 4
-	}
 }
 
 // ComponentSummary reports the component count and largest component
